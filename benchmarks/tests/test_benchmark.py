@@ -164,6 +164,18 @@ def test_failed_share_does_not_depend_on_seed():
             tr.realize.realize(target)
 
 
+# --- percentiles ------------------------------------------------------------------
+
+def test_harrell_davis_percentiles():
+    assert run.harrell_davis([3.0] * 50, 0.9) == pytest.approx(3.0)
+    # Symmetric data: the median estimate is the centre.
+    assert run.harrell_davis(list(range(101)), 0.5) == pytest.approx(50.0)
+    # Uniform order statistics: E[X_(i)] weighted by Beta mass gives about p.
+    values = [(i + 0.5) / 200 for i in range(200)]
+    assert abs(run.harrell_davis(values, 0.9) - 0.9) < 0.005
+    assert run.harrell_davis(values, 0.5) < run.harrell_davis(values, 0.9) < max(values)
+
+
 # --- the output matches BENCHMARK.json ------------------------------------------
 
 def _run_bench(cwd, *args):

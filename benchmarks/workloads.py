@@ -31,7 +31,11 @@ SCORE_N_MIN, SCORE_N_MAX = 2, 4096
 SCORE_STRATA = 16 * 11
 SCORE_FILE_EVERY = 8                 # stratum i % 8 == 6 arrives as a file
 SCORE_ORACLE_BELOW = 16 * 5          # oracle runs on strata below n = 64 ...
-SCORE_ORACLE_EVERY = 4               # ... every fourth of them
+SCORE_ORACLE_EVERY = 16              # ... one per octave of them: five ops.
+# The oracle's pure-Python loop is the kernel whose time moves most with
+# the speed of a shared machine (by a third between runs), so it is kept
+# to a few operations: enough that they sit above p90 and move it, too
+# few for p90 to fall inside their cluster.
 ORACLE_GRID = 20_000
 EXACT_MAX_N = 48                     # Fraction references up to this size
 
