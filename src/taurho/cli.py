@@ -103,29 +103,11 @@ def _cmd_area(args) -> int:
     return 0
 
 
-_SINGLE_CHECKS = {
-    "main_inequality": lambda seed: [_verify.check_main_inequality(6, 10)],
-    "minimizer_structure": lambda seed: [
-        _verify.check_minimizer_structure(3, 4),
-        _verify.check_minimizer_structure(4, 4),
-    ],
-    "perturbation_identities": lambda seed: [
-        _verify.check_perturbation_identities(1000, seed)
-    ],
-    "triangle_inequality": lambda seed: [_verify.check_triangle_inequality(500, seed)],
-    "delta_construction": lambda seed: [_verify.check_delta_construction(500, seed)],
-    "almost_decreasing_classification": lambda seed: [
-        _verify.check_almost_decreasing_classification(7)
-    ],
-    "swap_descent": lambda seed: [_verify.check_swap_descent(500, seed)],
-}
-
-
 def _cmd_verify(args) -> int:
     if args.suite == "all":
         reports = _verify.run_all_checks(args.seed)
     else:
-        reports = _SINGLE_CHECKS[args.suite](args.seed)
+        reports = _verify.CHECKS[args.suite](args.seed)
     for report in reports:
         print(_fmt(report.as_dict()))
     return 0 if all(r.passed for r in reports) else 1
@@ -161,7 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suite",
         default="all",
-        choices=["all"] + sorted(_SINGLE_CHECKS),
+        choices=["all"] + sorted(_verify.CHECKS),
         help="which checks to run",
     )
     p.add_argument("--seed", type=int, default=0, help="RNG seed for sampled checks")

@@ -50,6 +50,9 @@ __all__ = [
 
 PROTOTYPE_N_CAP = 10_000
 BOUNDARY_SNAP = 1e-7
+# segment_index(x) <= N is exactly -1 + 2/N <= x, so the taus whose
+# prototypes have at most PROTOTYPE_N_CAP pieces are those >= _CAP_TAU.
+_CAP_TAU = -1.0 + 2.0 / PROTOTYPE_N_CAP
 _CURVE_N_GUARD = 10_000_000
 _SCAN_POINTS = 4096
 _BISECT_TOL = 1e-13
@@ -149,7 +152,7 @@ def boundary_curve(t: float) -> tuple[Shuffle, RegionPoint]:
         sh = flip_shuffle()
         return sh, tau_rho(sh)
     x = 4.0 * t - 1.0 if t <= 0.5 else 4.0 * t - 3.0
-    if x <= -1.0 or segment_index(max(x, -1.0 + 1e-15)) > _CURVE_N_GUARD:
+    if x < -1.0 + 2.0 / _CURVE_N_GUARD:
         raise ValueError(
             f"boundary_curve: t={t!r} implies a prototype with more than "
             f"{_CURVE_N_GUARD} pieces"
@@ -283,15 +286,17 @@ def realize(
     targets go through the homotopy search, scanning the upper boundary
     interval first (it keeps the underlying prototypes small), then the
     lower one, with a 16x finer rescan before giving up.  Raises
-    TargetOutsideRegion for outside points and RuntimeError with
-    diagnostics if no bracket is found (which no in-region target should
-    trigger, except deep in the near-corner sliver below the wedge
-    family's reach).
+    ValueError for a NaN or infinite tau or rho, TargetOutsideRegion (a
+    ValueError) for outside points, and RuntimeError with diagnostics if
+    no bracket is found (which no in-region target should trigger, except
+    deep in the near-corner sliver below the wedge family's reach).
     """
     if isinstance(target, RegionPoint):
         tau_t, rho_t = target.tau, target.rho
     else:
         tau_t, rho_t = float(target[0]), float(target[1])
+    if not (math.isfinite(tau_t) and math.isfinite(rho_t)):
+        raise ValueError(f"realize: target ({tau_t!r}, {rho_t!r}) is not finite")
     if not -1.0 - BOUNDARY_SNAP <= tau_t <= 1.0 + BOUNDARY_SNAP:
         raise TargetOutsideRegion(f"({tau_t!r}, {rho_t!r}) has tau outside [-1, 1]")
     x = min(1.0, max(-1.0, tau_t))
@@ -320,15 +325,13 @@ def realize(
         pt = tau_rho(sh)
         return sh, HomotopyPoint(0.0, 0.0, math.hypot(pt.tau - tau_t, pt.rho - rho_t))
 
-    proto_n = segment_index(x)
-    if y - lower <= 1e-12 and proto_n <= PROTOTYPE_N_CAP:
+    if y - lower <= 1e-12 and x >= _CAP_TAU:
         sh = prototype_shuffle(prototype_for_tau(x))
         pt = tau_rho(sh)
         return sh, HomotopyPoint(
             0.0, (1.0 + x) / 4.0, math.hypot(pt.tau - tau_t, pt.rho - rho_t)
         )
-    upper_n = segment_index(-x)
-    if upper - y <= 1e-12 and upper_n <= PROTOTYPE_N_CAP:
+    if upper - y <= 1e-12 and -x >= _CAP_TAU:
         sh = flip(prototype_shuffle(prototype_for_tau(-x)))
         pt = tau_rho(sh)
         return sh, HomotopyPoint(
@@ -348,7 +351,7 @@ def realize(
         if bracket is not None:
             t_star = _bisect(g_up, *bracket)
             v = 4.0 * t_star - 3.0
-            if v > -1.0 and segment_index(v) <= PROTOTYPE_N_CAP:
+            if v >= _CAP_TAU:
                 base = flip(prototype_shuffle(prototype_for_tau(v)))
                 return _assemble(base, -v, x, t_star, tau_t, rho_t)
             # Root needs an oversized prototype: realize the point-reflected
@@ -364,7 +367,7 @@ def realize(
         if bracket is not None:
             t_star = _bisect(g_lo, *bracket)
             v = 4.0 * t_star - 1.0
-            if v > -1.0 and segment_index(v) <= PROTOTYPE_N_CAP:
+            if v >= _CAP_TAU:
                 base = prototype_shuffle(prototype_for_tau(v))
                 return _assemble(base, v, x, t_star, tau_t, rho_t)
             hit = _wedge_realize(x, y)

@@ -11,6 +11,11 @@ reflection ``-Phi(-x)``.  The same curve in inversion coordinates is
 compatible with a given pair weight ``a`` — the quantity the main
 inequality of the verification harness bounds from below.
 
+The segment of x in (-1, 1] is n = min{k >= 2 : -1 + 2/k <= x}, with
+-1 + 2/k in float64, so a junction -1 + 2/n goes to the smaller index n
+and x in [0, 1] gives 2.  ``segment_index`` and ``phi_boundary`` share
+one finder for it; ``varphi`` and ``theta`` follow from ``phi_boundary``.
+
 Membership tests use closed-region semantics with a 1e-12 tolerance:
 boundary points belong to the region.
 
@@ -50,6 +55,36 @@ _MEMBERSHIP_TOL = 1e-12
 _DOMAIN_SLACK = 1e-12
 
 
+def _segments(x: np.ndarray) -> np.ndarray:
+    """The segment index of every x in (-1, 1], as int64."""
+    # -1 + 2/k rounds to the nearest float, which is at most x about when
+    # 2/k <= 1 + x + 2**-54; the ceiling of 2/(1 + x + 2**-54) is then
+    # within one step of the index except within about 1e-15 of -1.
+    n = np.maximum(np.ceil(2.0 / (1.0 + x + 2.0**-54)), 2.0).astype(np.int64)
+    for _ in range(2):
+        down = (n > 2) & (-1.0 + 2.0 / (n - 1) <= x)
+        up = -1.0 + 2.0 / n > x
+        open_ = down | up
+        if not open_.any():
+            return n
+        n = np.where(down, n - 1, n + up)
+    n[open_] = _bisect_segments(x[open_])
+    return n
+
+
+def _bisect_segments(x: np.ndarray) -> np.ndarray:
+    """The segment index of every x in (-1, 1) by bisection on k, in int64
+    since k reaches about 1.2e16 at the float just above -1."""
+    lo = np.ones(x.shape, dtype=np.int64)  # -1 + 2/1 = 1 > x
+    hi = np.full(x.shape, 2**55, dtype=np.int64)  # -1 + 2**-54 rounds to -1
+    while np.any(hi - lo > 1):
+        mid = (lo + hi) // 2
+        right = -1.0 + 2.0 / mid <= x
+        lo = np.where(right, lo, mid)
+        hi = np.where(right, mid, hi)
+    return hi
+
+
 def segment_index(x: float) -> int:
     """The n >= 2 whose boundary segment [-1+2/n, -1+2/(n-1)) contains x.
 
@@ -58,32 +93,22 @@ def segment_index(x: float) -> int:
     x = float(x)
     if not -1.0 < x <= 1.0:
         raise ValueError(f"segment_index: x={x!r} outside (-1, 1]")
-    n = max(2, math.ceil(2.0 / (1.0 + x)))
-    # The ceiling above is exact in reals; the two loops absorb the one
-    # step of float slop it can pick up near segment junctions.
-    while n > 2 and x >= -1.0 + 2.0 / (n - 1):
-        n -= 1
-    while -1.0 + 2.0 / n > x:
-        n += 1
-    return n
-
-
-def _phi_segments(x: np.ndarray) -> np.ndarray:
-    """Vectorized segment_index for x in (-1, 1], returned as floats."""
-    n = np.ceil(2.0 / (1.0 + x))
-    n = np.maximum(n, 2.0)
-    for _ in range(2):
-        n = np.where((n > 2) & (x >= -1.0 + 2.0 / (n - 1.0)), n - 1.0, n)
-    for _ in range(2):
-        n = np.where(-1.0 + 2.0 / n > x, n + 1.0, n)
-    return n
+    return int(_segments(np.array([x]))[0])
 
 
 def _phi_segment_value(n: np.ndarray, x: np.ndarray) -> np.ndarray:
     linear = -1.0 - 4.0 / n**2 + 3.0 / n + 3.0 * x / n
     excess = np.maximum(n * (1.0 + x) - 2.0, 0.0)
-    coef = np.where(n > 2, (n - 2.0) / (np.sqrt(2.0) * n**2 * np.sqrt(np.maximum(n - 1.0, 1.0))), 0.0)
+    coef = (n - 2.0) / (math.sqrt(2.0) * n**2 * np.sqrt(n - 1.0))  # 0 for n = 2
     return linear - coef * excess**1.5
+
+
+def _phi(x: np.ndarray) -> np.ndarray:
+    """phi_boundary on values already in [-1, 1], without checks."""
+    at_corner = x == -1.0
+    safe = np.where(at_corner, 0.0, x)
+    n = _segments(safe).astype(float)
+    return np.where(at_corner, -1.0, _phi_segment_value(n, safe))
 
 
 def phi_boundary(x):
@@ -93,28 +118,10 @@ def phi_boundary(x):
     phi_boundary(1) = 1; on [0, 1] it is the line -1/2 + 3x/2.
     """
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < -1.0 - _DOMAIN_SLACK) or np.any(arr > 1.0 + _DOMAIN_SLACK):
+    if not np.all((arr >= -1.0 - _DOMAIN_SLACK) & (arr <= 1.0 + _DOMAIN_SLACK)):
         raise ValueError("phi_boundary: argument outside [-1, 1]")
-    arr = np.clip(arr, -1.0, 1.0)
-    at_corner = arr == -1.0
-    safe = np.where(at_corner, 0.0, arr)
-    n = _phi_segments(safe)
-    vals = np.where(at_corner, -1.0, _phi_segment_value(n, safe))
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(vals)
-    return vals
-
-
-def _varphi_segments(x: np.ndarray) -> np.ndarray:
-    """Segment index for varphi on [0, 1/2), as floats; segments are
-    right-closed, ties resolving to the smaller n."""
-    n = np.ceil(1.0 / (1.0 - 2.0 * x))
-    n = np.maximum(n, 2.0)
-    for _ in range(2):
-        n = np.where((n > 2) & (x <= 0.5 - 0.5 / (n - 1.0)), n - 1.0, n)
-    for _ in range(2):
-        n = np.where(x > 0.5 - 0.5 / n, n + 1.0, n)
-    return n
+    vals = _phi(np.clip(arr, -1.0, 1.0))
+    return float(vals) if np.ndim(x) == 0 else vals
 
 
 def varphi(x):
@@ -122,22 +129,16 @@ def varphi(x):
 
     Equals x/2 on [0, 1/4] and 1/6 at x = 1/2; in between it is the
     segmented 3/2-power curve mirroring phi_boundary in inversion
-    coordinates: phi_boundary(t) = 1 - 12*varphi((1-t)/4).
+    coordinates: varphi(x) = (1 - phi_boundary(1 - 4x)) / 12.
     """
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < -_DOMAIN_SLACK) or np.any(arr > 0.5 + _DOMAIN_SLACK):
+    if not np.all((arr >= -_DOMAIN_SLACK) & (arr <= 0.5 + _DOMAIN_SLACK)):
         raise ValueError("varphi: argument outside [0, 1/2]")
     arr = np.clip(arr, 0.0, 0.5)
-    at_half = arr == 0.5
-    safe = np.where(at_half, 0.0, arr)
-    n = _varphi_segments(safe)
-    core = 1.0 / 6.0 + 1.0 / (3.0 * n**2) - 0.5 / n + safe / n
-    excess = np.maximum(n * (1.0 - 2.0 * safe) - 1.0, 0.0)
-    coef = np.where(n > 2, (n - 2.0) / (6.0 * n**2 * np.sqrt(np.maximum(n - 1.0, 1.0))), 0.0)
-    vals = np.where(at_half, 1.0 / 6.0, core + coef * excess**1.5)
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(vals)
-    return vals
+    # x/2 is the identity's exact value on [0, 1/4]; taking it directly
+    # keeps theta exactly zero there.
+    vals = np.where(arr <= 0.25, arr / 2.0, (1.0 - _phi(1.0 - 4.0 * arr)) / 12.0)
+    return float(vals) if np.ndim(x) == 0 else vals
 
 
 def theta(x):
@@ -145,11 +146,8 @@ def theta(x):
 
     Vanishes on [0, 1/4], is non-decreasing, and reaches 1/6 at x = 1/2.
     """
-    arr = np.asarray(x, dtype=float)
-    vals = arr - 2.0 * np.asarray(varphi(arr))
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(vals)
-    return vals
+    vals = np.asarray(x, dtype=float) - 2.0 * np.asarray(varphi(x))
+    return float(vals) if np.ndim(x) == 0 else vals
 
 
 def _coords(p) -> tuple[float, float]:

@@ -96,7 +96,7 @@ class Permutation:
 
 @dataclass(frozen=True)
 class SimplexWeights:
-    """Nonnegative weights summing to one (tolerance 1e-12)."""
+    """Finite nonnegative weights summing to one (tolerance 1e-12)."""
 
     u: tuple[float, ...]
 
@@ -105,9 +105,10 @@ class SimplexWeights:
         object.__setattr__(self, "u", vals)
         if len(vals) == 0:
             raise ValueError("weights must have length >= 1")
-        if any(v < 0.0 for v in vals):
-            raise ValueError(f"negative weight in {vals}")
-        total = float(np.sum(vals))
+        arr = np.asarray(vals)
+        if not np.all(np.isfinite(arr) & (arr >= 0.0)):
+            raise ValueError(f"weights must be finite and nonnegative, got {vals}")
+        total = float(np.sum(arr))
         if abs(total - 1.0) > _WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {total!r}, not 1")
 
@@ -377,7 +378,7 @@ def shuffle_from_dict(data: dict) -> Shuffle:
         if isinstance(v, bool) or v not in (-1, 1):
             raise ValueError(f"sign entries must be -1 or 1, got {v!r}")
     total = float(np.sum(w)) if w else 0.0
-    if abs(total - 1.0) > _JSON_SUM_TOL:
+    if not abs(total - 1.0) <= _JSON_SUM_TOL:  # also refuses a NaN sum
         raise ValueError(f"weights sum to {total!r}, outside 1 +- {_JSON_SUM_TOL}")
     w = [v / total for v in w]
     return make_shuffle(perm, w, [int(v) for v in signs])

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import taurho
-from taurho import boundary_samples, write_shuffle_json
+from taurho import boundary_samples, verify, write_shuffle_json
 from taurho.cli import run
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -54,6 +54,14 @@ class TestEval:
         bad.write_text('{"perm": [2, 1], "weights": [0.5, 0.4], "signs": [1, 1]}')
         assert run(["eval", "--shuffle", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_nan_weight_is_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"perm": [1, 2], "weights": [NaN, 0.5], "signs": [1, 1]}')
+        assert run(["eval", "--shuffle", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
     def test_unparseable_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -102,6 +110,13 @@ class TestRealize:
         assert run(["realize", "--tau", "0.0", "--rho", "0.9"]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("tau,rho", [("0", "nan"), ("nan", "0.0")])
+    def test_non_finite_target_is_exit_2(self, tau, rho, capsys):
+        assert run(["realize", "--tau", tau, "--rho", rho]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "nan" in captured.err
+
 
 class TestArea:
     def test_keys_and_agreement(self, capsys):
@@ -128,6 +143,24 @@ class TestVerify:
     def test_unknown_suite(self, capsys):
         assert run(["verify", "--suite", "nonsense"]) == 2
         capsys.readouterr()
+
+    def test_every_registry_entry_is_a_suite(self, monkeypatch, capsys):
+        """The suites are the entries of verify.CHECKS, and each check is
+        looked up on the verify module when it runs."""
+        seen = []
+
+        def stub(name):
+            def check(*args):
+                seen.append((name, args))
+                return verify.VerificationReport(name, 1, 0.0, "", True)
+            return check
+
+        for name in [n for n in dir(verify) if n.startswith("check_")]:
+            monkeypatch.setattr(verify, name, stub(name))
+        for suite in verify.CHECKS:
+            assert run(["verify", "--suite", suite, "--seed", "9"]) == 0
+        assert ("check_swap_descent", (500, 9)) in seen
+        assert len(capsys.readouterr().out.splitlines()) == len(seen) == 8
 
 
 class TestArgErrors:

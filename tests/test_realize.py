@@ -165,6 +165,14 @@ class TestRealize:
         with pytest.raises(TargetOutsideRegion):
             realize((0.5, 0.2))  # below the Daniels line, outside the region
 
+    @pytest.mark.parametrize(
+        "target", [(0.0, math.nan), (math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf)]
+    )
+    def test_rejects_non_finite(self, target):
+        with pytest.raises(ValueError, match="not finite") as info:
+            realize(target)
+        assert not isinstance(info.value, TargetOutsideRegion)
+
     def test_band_below_flip_curve_uses_wedge(self):
         """Targets between the flip scaling curve and the boundary would
         need prototypes with millions of pieces; the reflected two-piece

@@ -21,6 +21,19 @@ from taurho import (
     theta,
     varphi,
 )
+from taurho import region
+
+
+def _loop_segment_index(x: float) -> int:
+    """Reference finder: min{k >= 2 : -1 + 2/k <= x} by unit steps from the
+    real-arithmetic ceiling.  Exact, but it takes one step per float
+    junction that rounds onto x, so it is slow below 1 + x of about 1e-9."""
+    n = max(2, math.ceil(2.0 / (1.0 + x)))
+    while n > 2 and x >= -1.0 + 2.0 / (n - 1):
+        n -= 1
+    while -1.0 + 2.0 / n > x:
+        n += 1
+    return n
 
 
 class TestSegmentIndex:
@@ -47,6 +60,32 @@ class TestSegmentIndex:
             segment_index(-1.0)
         with pytest.raises(ValueError):
             segment_index(1.0000001)
+
+    def test_matches_reference_loop_on_log_grid(self):
+        xs = -1.0 + np.logspace(-9, math.log10(2.0), 2000)
+        expected = np.array([_loop_segment_index(float(x)) for x in xs])
+        np.testing.assert_array_equal(region._segments(xs), expected)
+        below_one = xs < 1.0
+        np.testing.assert_array_equal(
+            region._bisect_segments(xs[below_one]), expected[below_one]
+        )
+        assert [segment_index(float(x)) for x in xs] == list(expected)
+
+    def test_matches_reference_loop_at_junctions(self):
+        ks = np.arange(2, 100_001)
+        xs = -1.0 + 2.0 / ks
+        expected = np.array([_loop_segment_index(float(x)) for x in xs])
+        np.testing.assert_array_equal(region._segments(xs), expected)
+        assert [segment_index(float(x)) for x in xs] == list(expected)
+
+    @pytest.mark.parametrize(
+        "x", [-1.0 + 1e-11, -1.0 + 3e-13, float(np.nextafter(-1.0, 0.0))]
+    )
+    def test_brackets_its_segment_next_to_the_corner(self, x):
+        n = segment_index(x)
+        assert -1.0 + 2.0 / n <= x < -1.0 + 2.0 / (n - 1)
+        assert region._segments(np.array([x]))[0] == n
+        assert region._bisect_segments(np.array([x]))[0] == n
 
     def test_brackets_its_segment(self):
         rng = np.random.default_rng(3)
@@ -85,6 +124,15 @@ class TestPhi:
         xs = np.linspace(-1, 1, 10_001)
         ys = phi_boundary(xs)
         assert np.all(np.diff(ys) > -1e-13)
+
+    def test_monotone_down_to_the_corner(self):
+        """Non-decreasing on a log grid down to 1 + x = 1e-15, up to the
+        float error of the segment formula.  That error reaches about two
+        ulps, so neighbouring values can step down by 1.5 * 2**-52 where
+        the curve is flatter than an ulp per grid step."""
+        xs = -1.0 + np.logspace(-15, math.log10(2.0), 20_001)
+        ys = phi_boundary(xs[xs <= 1.0])
+        assert np.all(np.diff(ys) >= -2.0 * np.spacing(1.0))
 
     def test_concave_within_segments(self):
         for n in range(2, 51):

@@ -63,6 +63,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             SimplexWeights((1.5, -0.5))
 
+    @pytest.mark.parametrize("bad,shown", [(math.nan, "nan"), (math.inf, "inf")])
+    def test_weights_must_be_finite(self, bad, shown):
+        with pytest.raises(ValueError, match=f"finite and nonnegative, got .*{shown}"):
+            SimplexWeights((bad, 0.5))
+        with pytest.raises(ValueError, match=shown):
+            make_shuffle((2, 1), (bad, 0.5))
+
     def test_lengths_must_agree(self):
         with pytest.raises(ValueError):
             make_shuffle((2, 1), (0.5, 0.5), (1,))
@@ -269,6 +276,7 @@ class TestSerialization:
             {"perm": [2, 1], "weights": [0.5], "signs": [1, 1]},
             {"perm": [True, 2], "weights": [0.5, 0.5], "signs": [1, 1]},
             {"perm": [2, 1], "weights": [0.5, True], "signs": [1, 1]},
+            {"perm": [1, 2], "weights": [math.nan, 0.5], "signs": [1, 1]},
             {"perm": 3, "weights": [0.5, 0.5], "signs": [1, 1]},
         ],
     )

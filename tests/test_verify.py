@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from taurho import verify
 from taurho import (
     Permutation,
     VerificationReport,
@@ -156,6 +157,47 @@ class TestSampledChecks:
     def test_sample_validation(self):
         with pytest.raises(ValueError):
             check_perturbation_identities(0, 0)
+
+    def test_perturbation_direction_sums_to_zero(self):
+        """Rescaling a centred direction can move its sum off zero by more
+        than perturbation_coeffs allows; this seed did so before the
+        direction was centred again."""
+        assert check_perturbation_identities(1000, 676687234).passed
+
+
+class TestRegistry:
+    def test_run_all_checks_follows_the_registry(self, monkeypatch):
+        calls = []
+
+        def stub(name):
+            def check(*args):
+                calls.append((name, args))
+                return VerificationReport(name, 1, 0.0, "", True)
+            return check
+
+        for name in [n for n in dir(verify) if n.startswith("check_")]:
+            monkeypatch.setattr(verify, name, stub(name))
+        reports = verify.run_all_checks(5)
+        assert calls == [
+            ("check_main_inequality", (6, 10)),
+            ("check_minimizer_structure", (3, 4)),
+            ("check_minimizer_structure", (4, 4)),
+            ("check_perturbation_identities", (1000, 5)),
+            ("check_triangle_inequality", (500, 5)),
+            ("check_delta_construction", (500, 5)),
+            ("check_almost_decreasing_classification", (7,)),
+            ("check_swap_descent", (500, 5)),
+        ]
+        assert [r.check_name for r in reports] == [c[0] for c in calls]
+        assert list(verify.CHECKS) == [
+            "main_inequality",
+            "minimizer_structure",
+            "perturbation_identities",
+            "triangle_inequality",
+            "delta_construction",
+            "almost_decreasing_classification",
+            "swap_descent",
+        ]
 
 
 def test_swap_descent_three_piece_example():
