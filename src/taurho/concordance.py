@@ -9,15 +9,16 @@ For a measure-preserving map ``h`` the two coefficients of the copula of
   pair by ``y - x``.
 
 Both integrals collapse to finite sums over the pieces of a shuffle,
-which is what :func:`inv_invs` evaluates.  The combinatorial layer
-(:func:`inversion_data`, :func:`ab_values`, :func:`perturbation_coeffs`)
-exposes the same quantities for straight shuffles as explicit polynomials
-in the weights, which is the form the verification harness differentiates.
+which is what :func:`inv_invs` evaluates.  :func:`oracle_tau_rho` is an
+intentionally independent cross-check: it never looks at the piece
+structure, only at point evaluations of the map on a midpoint grid.  Both
+count inverted pairs with one kernel, ``_inversions``, by bottom-up merge
+counting (Knight, JASA 1966) in O(n log n) time and O(n) extra memory.
 
-:func:`oracle_tau_rho` is an intentionally independent cross-check: it
-never looks at the piece structure, only at point evaluations of the map
-on a midpoint grid, and estimates both coefficients by brute pair
-counting (organised around a Fenwick tree so large grids stay cheap).
+The combinatorial layer (:func:`inversion_data`, :func:`ab_values`,
+:func:`perturbation_coeffs`) exposes the same quantities for straight
+shuffles as explicit polynomials in the weights, which is the form the
+verification harness differentiates.
 """
 
 from __future__ import annotations
@@ -39,7 +40,57 @@ __all__ = [
     "oracle_tau_rho",
 ]
 
-_ROW_BLOCK = 2048
+# Entries of the (levels x n) arrays of one merge pass: small inputs run
+# several levels per pass, larger ones one level, so memory stays O(n).
+_PASS_ELEMENTS = 1 << 12
+
+
+def _inversions(keys, u, x) -> tuple[float, float]:
+    """``sum u_i u_j`` and ``sum u_i u_j (x_j - x_i)`` over inverted pairs.
+
+    A pair ``i < j`` is inverted when ``keys[i] > keys[j]``; the keys are
+    distinct integers.  Each pair is counted at the level ``l`` of the
+    highest bit in which ``i`` and ``j`` differ, where they share a block of
+    ``2^(l+1)`` positions with ``i`` in its left half and ``j`` in its
+    right half.  Sorting each block by descending key turns the weight of
+    the left-half elements above each right-half element into a cumulative
+    sum within the block.  Each stable sort starts from the order the
+    previous pass left, so it merges sorted runs.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    n = keys.size
+    if n < 2:
+        return 0.0, 0.0
+    span = int(keys.max() - keys.min()) + 1
+    ux = u * x
+    pos = np.arange(n)
+    prev = pos
+    depth = (n - 1).bit_length()
+    per_pass = max(1, _PASS_ELEMENTS // n)
+    inv = invs = 0.0
+    for lo in range(0, depth, per_pass):
+        lv = np.arange(lo, min(lo + per_pass, depth))[:, None]
+        start = pos & -(2 << lv)
+        # sort key: block, then descending key
+        merge = (prev & -(2 << lv)) * span - keys[prev]
+        order = prev[np.argsort(merge, axis=1, kind="stable")]
+        prev = order[-1]
+        left = order < start + (1 << lv)  # from the block's left half
+        first = start + n * (lv - lo)  # flat index of the block's start
+        w = u[order]
+        wx = ux[order]
+        lw = w * left
+        lwx = wx * left
+        a = lw.cumsum(axis=1)
+        b = lwx.cumsum(axis=1)
+        # weight of the left-half entries above each entry of its block
+        a -= (a - lw).take(first)
+        b -= (b - lwx).take(first)
+        w -= lw  # keep the right half
+        wx -= lwx
+        inv += (w * a).sum()
+        invs += (wx * a).sum() - (w * b).sum()
+    return float(inv), float(invs)
 
 
 def inv_invs(shuffle: Shuffle) -> tuple[float, float]:
@@ -50,24 +101,11 @@ def inv_invs(shuffle: Shuffle) -> tuple[float, float]:
     distance between the piece midpoints to ``invs``.  A reversed piece
     inverts within itself: ``u_i^2 / 2`` and ``u_i^3 / 6``.
 
-    Runs in O(n^2) time and O(n * block) memory.
+    Runs in O(n log n) time and O(n) extra memory (see ``_inversions``).
     """
     u = shuffle.weights.as_array()
-    p = np.asarray(shuffle.perm.images)
     e = np.asarray(shuffle.signs)
-    n = shuffle.n
-    mid = np.cumsum(u) - u / 2.0
-
-    inv = 0.0
-    invs = 0.0
-    cols = np.arange(n)
-    for lo in range(0, n, _ROW_BLOCK):
-        hi = min(lo + _ROW_BLOCK, n)
-        rows = np.arange(lo, hi)
-        inverted = (p[None, :] < p[rows, None]) & (cols[None, :] > rows[:, None])
-        w = np.where(inverted, u[rows, None] * u[None, :], 0.0)
-        inv += float(w.sum())
-        invs += float((w * (mid[None, :] - mid[rows, None])).sum())
+    inv, invs = _inversions(shuffle.perm.images, u, np.cumsum(u) - u / 2.0)
 
     rev = e == -1
     if rev.any():
@@ -219,28 +257,6 @@ def perturbation_coeffs(perm: Permutation, u, delta) -> PerturbationCoeffs:
     )
 
 
-class _Fenwick:
-    """Prefix sums with point updates, 1-based internally."""
-
-    def __init__(self, size: int) -> None:
-        self.tree = [0.0] * (size + 1)
-
-    def add(self, i: int, value: float) -> None:
-        i += 1
-        while i < len(self.tree):
-            self.tree[i] += value
-            i += i & (-i)
-
-    def prefix(self, i: int) -> float:
-        # sum of entries 0..i inclusive
-        i += 1
-        total = 0.0
-        while i > 0:
-            total += self.tree[i]
-            i -= i & (-i)
-        return total
-
-
 def oracle_tau_rho(shuffle: Shuffle, grid_m: int = 2000) -> RegionPoint:
     """Grid estimate of (tau, rho) using only point evaluations of the map.
 
@@ -256,28 +272,10 @@ def oracle_tau_rho(shuffle: Shuffle, grid_m: int = 2000) -> RegionPoint:
     xs = (np.arange(m) + 0.5) / m
     hv = evaluate(shuffle, xs)
 
-    order = np.argsort(hv, kind="stable")
-    ranks = np.empty(m, dtype=int)
-    ranks[order] = np.arange(m)
+    ranks = np.empty(m, dtype=np.int64)
+    ranks[np.argsort(hv, kind="stable")] = np.arange(m)
+    inv, invs = _inversions(ranks, np.ones(m), xs)
 
-    counts = _Fenwick(m)
-    xsums = _Fenwick(m)
-    seen = 0
-    seen_x = 0.0
-    inv_pairs = 0.0
-    wsum = 0.0
-    for i in range(m):
-        r = int(ranks[i])
-        x = float(xs[i])
-        gt = seen - counts.prefix(r)        # earlier points mapped above this one
-        gx = seen_x - xsums.prefix(r)
-        inv_pairs += gt
-        wsum += x * gt - gx
-        counts.add(r, 1.0)
-        xsums.add(r, x)
-        seen += 1
-        seen_x += x
-
-    inv_est = inv_pairs / (m * m)
-    invs_est = wsum / (m * m)
+    inv_est = inv / (m * m)
+    invs_est = invs / (m * m)
     return RegionPoint(1.0 - 4.0 * inv_est, 1.0 - 12.0 * invs_est)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concordance import tau_rho
-from .region import contains, phi_boundary, segment_index
+from .region import phi_boundary, segment_index
 from .shuffles import (
     RegionPoint,
     Shuffle,

@@ -24,7 +24,40 @@ from taurho import (
     Prototype,
     tau_rho,
 )
+from taurho.concordance import _inversions
 from taurho.verify import random_shuffle
+
+
+def _brute_inversions(keys, u, x):
+    """O(n^2) reference for ``_inversions``: every pair i < j, one at a time."""
+    inv = invs = 0.0
+    for j in range(len(keys)):
+        for i in range(j):
+            if keys[i] > keys[j]:
+                inv += u[i] * u[j]
+                invs += u[i] * u[j] * (x[j] - x[i])
+    return inv, invs
+
+
+_KERNEL_SIZES = sorted(
+    {0, 1, 2, 3} | {2**k + d for k in range(1, 11) for d in (-1, 0, 1)}
+)
+
+
+def test_kernel_matches_brute_force(rng):
+    # 2^k - 1, 2^k and 2^k + 1 end the keys just before, at and just after
+    # a block edge; with _PASS_ELEMENTS = 4096, n >= 511 takes several
+    # passes, the last one shorter than the others.
+    for n in _KERNEL_SIZES:
+        heights = rng.integers(0, max(n // 3, 1), size=n)
+        tied_ranks = np.empty(n, dtype=int)
+        tied_ranks[np.argsort(heights, kind="stable")] = np.arange(n)
+        for keys in (rng.permutation(n), rng.permutation(n) + 1, tied_ranks):
+            u = rng.random(n)
+            x = rng.random(n)
+            got = _inversions(keys, u, x)
+            want = _brute_inversions(keys.tolist(), u.tolist(), x.tolist())
+            assert got == pytest.approx(want, rel=1e-12, abs=0), n
 
 
 def test_reference_inv_invs(four_segment):
@@ -145,8 +178,9 @@ def test_perturbation_expansion_is_exact(rng):
 
 class TestOracle:
     def test_identity_is_exact(self):
-        pt = oracle_tau_rho(identity_shuffle(), grid_m=100)
-        assert pt.tau == 1.0 and pt.rho == 1.0
+        for m in (100, 2000, 20000):
+            pt = oracle_tau_rho(identity_shuffle(), grid_m=m)
+            assert pt.tau == 1.0 and pt.rho == 1.0, m
 
     def test_flip_tau_has_known_bias(self):
         # all m(m-1)/2 grid pairs are discordant
@@ -179,12 +213,17 @@ def test_symmetries(rng):
 
 
 def test_chunked_path_matches_closed_form():
-    """A prototype big enough to span several row blocks of the O(n^2) sum."""
-    proto = Prototype(3000, 1 / 3000 + 1e-7)
-    sh = prototype_shuffle(proto)
-    pt = tau_rho(sh)
-    n, r = proto.n, proto.r
-    tau_c = 1 - 4 * (n - 1) * r + 2 * r * r * n * (n - 1)
-    rho_c = 1 - 2 * r * (n - 1) * (3 - 3 * r * (n - 1) + r * r * (n - 2) * n)
-    assert pt.tau == pytest.approx(tau_c, abs=1e-11)
-    assert pt.rho == pytest.approx(rho_c, abs=1e-11)
+    """Prototypes big enough to run one merge level per pass of the kernel.
+
+    2^17 + 1 pieces make a top level whose left half is a whole 2^17 block
+    and whose right half is a single piece.
+    """
+    big = 2**17 + 1
+    for proto in (Prototype(3000, 1 / 3000 + 1e-7), Prototype(big, 1 / big + 5e-11)):
+        sh = prototype_shuffle(proto)
+        pt = tau_rho(sh)
+        n, r = proto.n, proto.r
+        tau_c = 1 - 4 * (n - 1) * r + 2 * r * r * n * (n - 1)
+        rho_c = 1 - 2 * r * (n - 1) * (3 - 3 * r * (n - 1) + r * r * (n - 2) * n)
+        assert pt.tau == pytest.approx(tau_c, abs=1e-11), n
+        assert pt.rho == pytest.approx(rho_c, abs=1e-11), n
