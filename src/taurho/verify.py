@@ -49,6 +49,8 @@ _SHAPE_TOL = 1e-6
 _IDENTITY_TOL = 1e-12
 _EXACT_TOL = 1e-14
 _MAIN_BUDGET = 50_000_000
+# (permutation, lattice row) entries of one block of the main sweep
+_SWEEP_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -132,14 +134,20 @@ def find_pattern(perm: Permutation, pattern: tuple[int, ...]):
     return None
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of ``parts`` non-negative integers summing to ``total``, lex order."""
+def _compositions(total: int, parts: int, rows: int):
+    """Every tuple of ``parts`` non-negative integers summing to ``total``,
+    in lex order, in int64 arrays of at most ``rows`` rows: each one into
+    ``parts - 1`` parts, last part s, gives (..., j, s - j) for j = 0..s."""
     if parts == 1:
-        yield (total,)
+        yield np.array([[total]])
         return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+    for heads in _compositions(total, parts - 1, rows):
+        ends = np.cumsum(heads[:, -1] + 1)
+        for start in range(0, int(ends[-1]), rows):
+            i = np.arange(start, min(start + rows, int(ends[-1])))
+            h = np.searchsorted(ends, i, side="right")
+            j = i - ends[h] + heads[h, -1] + 1
+            yield np.column_stack([heads[h, :-1], j, heads[h, -1] - j])
 
 
 def _witness(**kwargs) -> str:
@@ -148,138 +156,129 @@ def _witness(**kwargs) -> str:
 
 # --- the main inequality --------------------------------------------------
 
-def _is_prototype_shaped(perm: Permutation, u: np.ndarray, tol: float = 1e-9) -> bool:
-    """Whether (perm, u) is a prototype up to representation.
+def _incidence(n: int):
+    """The permutations of 1..n and the position pairs and triples, in lex
+    order, and a map from lattice rows k to a*g^2 and b*g^3 of each
+    permutation (rows) at each k (columns): integer sums over the inverted
+    pairs and cyclic-descent triples (321, 213, 132), exact below 2^53."""
+    perms = np.array(list(itertools.permutations(range(1, n + 1))))
+    pairs = np.array(list(itertools.combinations(range(n), 2)), dtype=int).reshape(-1, 2)
+    triples = np.array(list(itertools.combinations(range(n), 3)), dtype=int).reshape(-1, 3)
+    p, q = np.moveaxis(perms[:, pairs], 2, 0)
+    x, y, z = np.moveaxis(perms[:, triples], 2, 0)
+    inverted = (p > q).astype(float)
+    cyclic = ((x > y).astype(int) + (y > z) + (z > x) == 2).astype(float)
 
-    Canonicalizing the all-ascending shuffle merges split segments
-    (adjacent positions with consecutive ascending images carry the same
-    pair/triple statistics as one piece) and drops zero weights; the
-    result must be a decreasing permutation with weights (r, ..., r, y),
-    y <= r, after sorting.
-    """
-    from .shuffles import canonicalize  # deferred: keeps module import light
+    def scaled_ab(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        a = inverted @ k[:, pairs].prod(axis=2).T.astype(float)
+        return a, cyclic @ k[:, triples].prod(axis=2).T.astype(float)
 
-    sh = canonicalize(make_shuffle(perm, tuple(u), (1,) * len(u)))
-    imgs = sh.perm.images
-    if any(a <= b for a, b in zip(imgs, imgs[1:])):
-        return False
-    v = np.sort(np.asarray(sh.weights.u))[::-1]
-    if len(v) >= 2 and v[0] - v[-2] > tol:
-        return False
-    return True
+    return perms, pairs, triples, scaled_ab
+
+
+def _prototype_shaped(images: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Which rows (permutation images, lattice k) are prototypes up to
+    representation; the rule is in ``check_main_inequality``."""
+    m, n = k.shape
+    rows = np.arange(m)[:, None]
+    order = np.argsort(k == 0, axis=1, kind="stable")  # kept entries first
+    images, k = images[rows, order], k[rows, order]
+    kept = k > 0
+    by_image = np.zeros((m, n + 1), dtype=np.int64)
+    by_image[rows, images] = kept
+    step = np.diff(by_image.cumsum(axis=1)[rows, images], axis=1)  # of ranks among the kept
+    starts = kept.copy()
+    starts[:, 1:] &= step != 1
+    block = rows * n + starts.cumsum(axis=1) - 1
+    sums = np.bincount(block.ravel(), k.ravel(), m * n).reshape(m, n)
+    n_top = (sums == sums.max(axis=1, keepdims=True)).sum(axis=1)
+    return np.all((step <= 1) | ~kept[:, 1:], axis=1) & (n_top >= starts.sum(axis=1) - 1)
 
 
 def check_main_inequality(n_max: int = 6, grid_steps: int = 10) -> VerificationReport:
     """b >= theta(a) for every permutation and every lattice weight vector.
 
-    Exhausts all permutations of each size up to ``n_max`` against the
-    full simplex lattice with denominator ``grid_steps``.  Equality
-    points are classified: prototype-shaped configurations and flat ones
-    (b = 0 with a <= 1/4, where theta vanishes) are the expected
-    families; anything else is flagged in the notes but does not fail
-    the check, which only demands the margin stay above -1e-10 and that
-    prototype lattice points sit on equality to 1e-12.
+    Exhausts all permutations of each size n up to ``n_max`` against the
+    simplex lattice u = k / g, g = ``grid_steps``, k integer.  a*g^2 and
+    b*g^3 are sums of pair and triple products of k, for all permutations
+    one matrix product with their incidence; the budget keeps them below
+    2^53, so they are exact in float64.  theta is taken once per distinct
+    a; blocks of at most 2^17 (permutation, lattice row) entries bound the
+    memory.  The witness is the first minimum in (n, permutation, lattice
+    row) order.
+
+    Equality points (|margin| <= 1e-12) are flat (b = 0, a <= 1/4, where
+    theta vanishes) or should be prototype-shaped by the rule of
+    ``canonicalize``, here in integers: drop the zero k's and re-rank the
+    images left; each step between neighbouring kept entries must be +1
+    (the two merge into one block) or a descent, so the blocks form a
+    decreasing permutation; the block sums of k must sort as (r, ..., r, y)
+    with y <= r.  Other points are flagged in the notes but do not fail the
+    check, which demands the margin stay above -1e-10 and prototype
+    lattice points sit on equality to 1e-12.
     """
-    n_max = int(n_max)
-    grid_steps = int(grid_steps)
+    n_max, g = int(n_max), int(grid_steps)
     if not 2 <= n_max <= 7:
         raise ValueError(f"n_max must be in [2, 7], got {n_max}")
-    if grid_steps < 2:
-        raise ValueError(f"grid_steps must be >= 2, got {grid_steps}")
-    cost = sum(
-        math.factorial(n) * math.comb(grid_steps + n - 1, n - 1)
-        for n in range(2, n_max + 1)
-    )
+    if g < 2:
+        raise ValueError(f"grid_steps must be >= 2, got {g}")
+    cost = sum(math.factorial(n) * math.comb(g + n - 1, n - 1) for n in range(2, n_max + 1))
     if cost > _MAIN_BUDGET:
         raise ValueError(
             f"requested sweep needs {cost} margin evaluations, over the "
             f"budget of {_MAIN_BUDGET}"
         )
 
-    worst = math.inf
-    worst_info: dict = {}
-    instances = 0
-    n_prototype_eq = 0
-    n_flat_eq = 0
-    other_samples: list[dict] = []
-    n_other = 0
-
+    worst: tuple = (math.inf,)  # (margin, n, permutation, chunk, row, images, k)
+    others: list[tuple] = []  # unexpected: (n, permutation, chunk, row, images, k)
+    n_prototype_eq = n_flat_eq = n_other = n_proto_points = 0
+    proto_dev = 0.0
     for n in range(2, n_max + 1):
-        lattice = np.array(list(_compositions(grid_steps, n)), dtype=float)
-        U = lattice / grid_steps
-        for images in itertools.permutations(range(1, n + 1)):
-            perm = Permutation(images)
-            data = inversion_data(perm)
-            pairs = sorted(data.pairs)
-            triples = sorted(data.triples)
-            if pairs:
-                pi = np.array([p[0] - 1 for p in pairs])
-                pj = np.array([p[1] - 1 for p in pairs])
-                a_vals = np.einsum("ij,ij->i", U[:, pi], U[:, pj])
-            else:
-                a_vals = np.zeros(len(U))
-            if triples:
-                ti = np.array([t[0] - 1 for t in triples])
-                tj = np.array([t[1] - 1 for t in triples])
-                tk = np.array([t[2] - 1 for t in triples])
-                b_vals = np.einsum("ij,ij,ij->i", U[:, ti], U[:, tj], U[:, tk])
-            else:
-                b_vals = np.zeros(len(U))
-            margins = b_vals - theta(np.minimum(a_vals, 0.5))
-            instances += len(U)
+        perms, pairs, triples, scaled_ab = _incidence(n)
+        for c, k in enumerate(_compositions(g, n, max(1, _SWEEP_ENTRIES // len(perms)))):
+            a_int, margins = scaled_ab(k)
+            margins /= g**3  # b, until theta is subtracted
+            flat = margins <= _EQUALITY_TOL
+            high = 4 * a_int > g**2  # theta vanishes for a <= 1/4
+            values, inverse = np.unique(a_int[high], return_inverse=True)
+            margins[high] -= theta(np.minimum(values / g**2, 0.5))[inverse]
 
-            i_min = int(np.argmin(margins))
-            if margins[i_min] < worst:
-                worst = float(margins[i_min])
-                worst_info = {
-                    "n": n,
-                    "perm": list(images),
-                    "u": [float(v) for v in U[i_min]],
-                    "margin": float(margins[i_min]),
-                }
+            p, r = np.unravel_index(int(np.argmin(margins)), margins.shape)
+            worst = min(worst, (float(margins[p, r]), n, int(p), c, int(r), perms[p], k[r]))
 
             eq = np.abs(margins) <= _EQUALITY_TOL
-            if not eq.any():
-                continue
-            flat = eq & (b_vals <= _EQUALITY_TOL)
+            flat &= eq
             n_flat_eq += int(flat.sum())
-            for idx in np.nonzero(eq & ~flat)[0]:
-                if _is_prototype_shaped(perm, U[idx]):
-                    n_prototype_eq += 1
-                else:
-                    n_other += 1
-                    if len(other_samples) < 5:
-                        other_samples.append(
-                            {"n": n, "perm": list(images), "u": [float(v) for v in U[idx]]}
-                        )
+            p, r = np.nonzero(eq & ~flat)
+            shaped = _prototype_shaped(perms[p], k[r])
+            n_prototype_eq += int(shaped.sum())
+            n_other += int((~shaped).sum())
+            others += [(n, i, c, j, perms[i], k[j]) for i, j in zip(p[~shaped][:5], r[~shaped][:5])]
 
-    # Equality must hold at every representable prototype point.
-    proto_dev = 0.0
-    n_proto_points = 0
-    for n in range(2, n_max + 1):
-        perm = Permutation(tuple(range(n, 0, -1)))
-        for k in range(grid_steps + 1):
-            j = grid_steps - (n - 1) * k
-            if 0 <= j <= k:
-                u = np.array([k] * (n - 1) + [j], dtype=float) / grid_steps
-                a, b = ab_values(perm, u)
-                proto_dev = max(proto_dev, abs(b - theta(min(a, 0.5))))
-                n_proto_points += 1
+            # Equality must hold at the prototype lattice points (r, ..., r, y),
+            # y <= r, of the decreasing permutation; summed as in ab_values.
+            u = k[np.all(k[:, :-1] == k[:, :1], axis=1) & (k[:, -1] <= k[:, 0])] / g
+            a = sum((u[:, i] * u[:, j] for i, j in pairs), np.zeros(len(u)))
+            b = sum((u[:, i] * u[:, j] * u[:, h] for i, j, h in triples), np.zeros(len(u)))
+            proto_dev = np.max(np.abs(b - theta(np.minimum(a, 0.5))), initial=proto_dev)
+            n_proto_points += len(u)
 
-    passed = worst >= -_MAIN_TOL and proto_dev <= _EQUALITY_TOL
+    margin, n, *_, perm, k = worst
     notes = (
         f"equality points: {n_prototype_eq} prototype-shaped, {n_flat_eq} flat "
         f"(b=0, theta=0), {n_other} unexpected; "
         f"{n_proto_points} prototype lattice points, max |margin| {proto_dev:.3e}"
     )
-    if other_samples:
-        notes += "; unexpected samples: " + json.dumps(other_samples, sort_keys=True)
+    if others:
+        first = sorted(others, key=lambda t: t[:4])[:5]
+        samples = [{"n": m, "perm": im.tolist(), "u": (kk / g).tolist()} for m, *_, im, kk in first]
+        notes += "; unexpected samples: " + json.dumps(samples, sort_keys=True)
     return VerificationReport(
         check_name="main_inequality",
-        instances_tested=instances,
-        worst_margin=worst,
-        worst_witness=_witness(**worst_info),
-        passed=passed,
+        instances_tested=cost,
+        worst_margin=margin,
+        worst_witness=_witness(n=n, perm=perm.tolist(), u=(k / g).tolist(), margin=margin),
+        passed=margin >= -_MAIN_TOL and proto_dev <= _EQUALITY_TOL,
         notes=notes,
     )
 
@@ -396,7 +395,7 @@ def check_minimizer_structure(n: int, levels: int = 4) -> VerificationReport:
     all_converged = True
 
     seeds_raw = [
-        np.array(comp, dtype=float) / 12.0 for comp in _compositions(12, n)
+        comp / 12.0 for block in _compositions(12, n, _SWEEP_ENTRIES) for comp in block
     ]
     for lvl in range(1, levels + 1):
         c2 = a_max * lvl / levels
@@ -475,7 +474,7 @@ def check_perturbation_identities(samples: int, seed: int) -> VerificationReport
     """
     samples = int(samples)
     if samples < 1:
-        raise ValueError("samples must be >= 1")
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rng = _rng(seed)
     worst = math.inf
     worst_info: dict = {}
@@ -527,7 +526,7 @@ def check_triangle_inequality(samples: int, seed: int) -> VerificationReport:
     """c[p,r] + c[q,r] >= c[p,q] >= 0 whenever {p,q,r} is not a descent triple."""
     samples = int(samples)
     if samples < 1:
-        raise ValueError("samples must be >= 1")
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rng = _rng(seed)
     worst = math.inf
     worst_info: dict = {}
@@ -590,7 +589,7 @@ def check_delta_construction(samples: int, seed: int) -> VerificationReport:
     """
     samples = int(samples)
     if samples < 1:
-        raise ValueError("samples must be >= 1")
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rng = _rng(seed)
     worst = math.inf
     worst_info: dict = {}
@@ -714,7 +713,7 @@ def check_swap_descent(samples: int, seed: int) -> VerificationReport:
     """
     samples = int(samples)
     if samples < 1:
-        raise ValueError("samples must be >= 1")
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rng = _rng(seed)
     worst = math.inf
     worst_info: dict = {}

@@ -1,6 +1,12 @@
 """The check battery itself: reports, helpers, determinism, and small runs."""
 
+import itertools
 import json
+import math
+import re
+import time
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +16,7 @@ from taurho import (
     Permutation,
     VerificationReport,
     ab_values,
+    canonicalize,
     check_almost_decreasing_classification,
     check_delta_construction,
     check_main_inequality,
@@ -19,8 +26,11 @@ from taurho import (
     check_triangle_inequality,
     find_pattern,
     fisher_yates,
+    inversion_data,
+    make_shuffle,
     random_shuffle,
     random_simplex,
+    theta,
 )
 
 
@@ -86,6 +96,40 @@ class TestReport:
         assert json.loads(json.dumps(r.as_dict()))["check_name"] == "c"
 
 
+def _is_prototype_shaped(perm: Permutation, u: np.ndarray, tol: float = 1e-9) -> bool:
+    """Reference classifier: whether (perm, u) is a prototype up to
+    representation.
+
+    Canonicalizing the all-ascending shuffle merges split segments
+    (adjacent positions with consecutive ascending images carry the same
+    pair/triple statistics as one piece) and drops zero weights; the
+    result must be a decreasing permutation with weights (r, ..., r, y),
+    y <= r, after sorting.
+    """
+    sh = canonicalize(make_shuffle(perm, tuple(u), (1,) * len(u)))
+    imgs = sh.perm.images
+    if any(a <= b for a, b in zip(imgs, imgs[1:])):
+        return False
+    v = np.sort(np.asarray(sh.weights.u))[::-1]
+    if len(v) >= 2 and v[0] - v[-2] > tol:
+        return False
+    return True
+
+
+def _reference_shapes(images, k):
+    return [
+        _is_prototype_shaped(Permutation(tuple(int(v) for v in im)), kk / kk.sum())
+        for im, kk in zip(images, k)
+    ]
+
+
+def _notes_counts(notes):
+    found = re.search(
+        r"(\d+) prototype-shaped, (\d+) flat .*?(\d+) unexpected; (\d+) prototype lattice", notes
+    )
+    return tuple(int(v) for v in found.groups())
+
+
 class TestMainInequality:
     def test_small_sweep_passes(self):
         r = check_main_inequality(4, 6)
@@ -96,7 +140,6 @@ class TestMainInequality:
     def test_witness_reproduces_margin(self):
         r = check_main_inequality(4, 6)
         w = json.loads(r.worst_witness)
-        from taurho import theta
 
         a, b = ab_values(Permutation(tuple(w["perm"])), np.array(w["u"]))
         assert b - theta(min(a, 0.5)) == pytest.approx(r.worst_margin, abs=1e-14)
@@ -110,6 +153,132 @@ class TestMainInequality:
             check_main_inequality(1, 10)
         with pytest.raises(ValueError):
             check_main_inequality(4, 1)
+
+    @pytest.mark.parametrize("n_max, grid_steps", [(5, 10), (6, 6)])
+    def test_classifier_matches_canonicalize_on_the_sweep(self, monkeypatch, n_max, grid_steps):
+        """Every non-flat equality point of the sweep gets the verdict of
+        the canonicalize-based reference."""
+        seen = []
+
+        def spy(images, k):
+            got = classify(images, k)
+            seen.append(got)
+            assert got.tolist() == _reference_shapes(images, k)
+            return got
+
+        classify = verify._prototype_shaped
+        monkeypatch.setattr(verify, "_prototype_shaped", spy)
+        r = check_main_inequality(n_max, grid_steps)
+        shaped, _, other, _ = _notes_counts(r.notes)
+        verdicts = np.concatenate(seen)
+        assert len(verdicts) == shaped + other > 1000
+        assert verdicts.sum() == shaped and other == 0
+
+    def test_classifier_matches_canonicalize_on_random_rows(self):
+        """Random lattice rows with zeros, n <= 7: half on random
+        permutations, half on decreasing runs of ascending blocks (the
+        shapes canonicalize merges) with block sums near (r, ..., r, y)."""
+        rng = _rng(6)
+        verdicts = []
+        for n in range(2, 8):
+            images, ks = [], []
+            for t in range(500):
+                if t % 2:
+                    images.append(rng.permutation(n) + 1)
+                    ks.append(rng.integers(0, 4, n) * (rng.random(n) < 0.7))
+                else:
+                    cuts = np.flatnonzero(rng.random(n - 1) < 0.5) + 1
+                    blocks = np.split(np.arange(1, n + 1), cuts)[::-1]
+                    images.append(np.concatenate(blocks))
+                    k = rng.integers(0, 2, n) * 2
+                    k[rng.integers(0, n)] += rng.integers(-1, 2)
+                    ks.append(np.maximum(k, 0))
+                if ks[-1].sum() == 0:
+                    ks[-1][rng.integers(0, n)] = 1
+            images, ks = np.array(images), np.array(ks)
+            got = verify._prototype_shaped(images, ks)
+            assert got.tolist() == _reference_shapes(images, ks), n
+            verdicts.append(got)
+        verdicts = np.concatenate(verdicts)
+        assert 500 < verdicts.sum() < len(verdicts) - 500
+
+    def test_scaled_ab_is_exact(self):
+        """a*g^2 and b*g^3 of every permutation with n <= 5 at every lattice
+        point with g = 6 equal the pair and triple polynomials of ab_values
+        evaluated exactly in fractions."""
+        g = 6
+        for n in range(2, 6):
+            perms, _, _, scaled_ab = verify._incidence(n)
+            (k,) = verify._compositions(g, n, 10**6)
+            a_int, b_int = scaled_ab(k)
+            assert a_int.shape == b_int.shape == (math.factorial(n), math.comb(g + n - 1, n - 1))
+            u = np.array([[Fraction(int(v), g) for v in kk] for kk in k], dtype=object)
+            pairs = list(itertools.combinations(range(1, n + 1), 2))
+            triples = list(itertools.combinations(range(1, n + 1), 3))
+            pair_terms = {t: u[:, t[0] - 1] * u[:, t[1] - 1] for t in pairs}
+            triple_terms = {t: pair_terms[t[:2]] * u[:, t[2] - 1] for t in triples}
+            for p, images in enumerate(perms):
+                data = inversion_data(Permutation(tuple(int(v) for v in images)))
+                a = sum((pair_terms[t] for t in sorted(data.pairs)), np.full(len(k), Fraction(0)))
+                b = sum((triple_terms[t] for t in sorted(data.triples)), np.full(len(k), Fraction(0)))
+                assert (a * g**2 == a_int[p]).all() and (b * g**3 == b_int[p]).all()
+
+    def test_compositions_in_lex_order_and_blocks(self):
+        for total, parts in [(0, 2), (5, 2), (4, 3), (6, 5)]:
+            expect = [c for c in itertools.product(range(total + 1), repeat=parts) if sum(c) == total]
+            for rows in (1, 2, 7, 1000):
+                blocks = list(verify._compositions(total, parts, rows))
+                assert all(1 <= len(b) <= rows for b in blocks)
+                assert np.concatenate(blocks).tolist() == [list(c) for c in expect]
+
+    def test_block_size_does_not_change_the_report(self, monkeypatch):
+        full = check_main_inequality(5, 7)
+        monkeypatch.setattr(verify, "_SWEEP_ENTRIES", 7)
+        assert check_main_inequality(5, 7) == full
+
+    def test_unexpected_points_are_listed_in_sweep_order(self, monkeypatch):
+        """With every equality point declared unexpected, the notes count
+        them all and list the first five in (n, permutation, lattice row)
+        order, as a plain loop over ab_values finds them; tiny blocks make
+        the order cross block boundaries."""
+        monkeypatch.setattr(verify, "_prototype_shaped", lambda images, k: np.zeros(len(k), bool))
+        monkeypatch.setattr(verify, "_SWEEP_ENTRIES", 5)
+        r = check_main_inequality(4, 6)
+        expect = []
+        for n in range(2, 5):
+            for images in itertools.permutations(range(1, n + 1)):
+                for kk in next(verify._compositions(6, n, 10**6)):
+                    u = kk / 6
+                    a, b = ab_values(Permutation(images), u)
+                    if abs(b - theta(min(a, 0.5))) <= 1e-12 and b > 1e-12:
+                        expect.append({"n": n, "perm": list(images), "u": u.tolist()})
+        assert _notes_counts(r.notes)[:3] == (0, 1488, len(expect))
+        assert r.notes.endswith("unexpected samples: " + json.dumps(expect[:5], sort_keys=True))
+        assert r.passed
+
+    def test_seven_pieces_pinned(self):
+        """The n = 7 sweep, counts as the canonicalize-based sweep found them."""
+        r = check_main_inequality(7, 8)
+        assert r.passed and -1e-10 <= r.worst_margin <= 1e-12
+        assert r.instances_tested == 16_125_408
+        assert _notes_counts(r.notes) == (254_332, 4_146_231, 0, 9)
+
+    @pytest.mark.parametrize("n_max, grid_steps", [(2, 10**6), (3, 2000)])
+    def test_fine_lattices_run_in_bounded_time_and_memory(self, n_max, grid_steps):
+        """No table over all a*g^2 (up to 2.5e11 at g = 10^6) and no whole
+        lattice in memory; b*g^3 stays below g^3 = 8e9 at g = 2000, far
+        below 2^53."""
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            r = check_main_inequality(n_max, grid_steps)
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.passed and "0 unexpected" in r.notes
+        assert elapsed < 30.0
+        assert peak < 32 * 2**20
 
 
 class TestMinimizer:
@@ -155,8 +324,16 @@ class TestSampledChecks:
         assert c == d
 
     def test_sample_validation(self):
-        with pytest.raises(ValueError):
-            check_perturbation_identities(0, 0)
+        for check in (
+            check_perturbation_identities,
+            check_triangle_inequality,
+            check_delta_construction,
+            check_swap_descent,
+        ):
+            with pytest.raises(ValueError, match=r"samples must be >= 1, got 0$"):
+                check(0, 0)
+            with pytest.raises(ValueError, match=r"got -3$"):
+                check(-3, 0)
 
     def test_perturbation_direction_sums_to_zero(self):
         """Rescaling a centred direction can move its sum off zero by more
