@@ -21,10 +21,10 @@ import sys
 
 import numpy as np
 
-from .concordance import inv_invs, oracle_tau_rho, tau_rho
+from .concordance import inv_invs, oracle_tau_rho
 from .realize import TargetOutsideRegion, realize
 from .region import area_closed_form, area_quadrature, boundary_samples
-from .shuffles import read_shuffle_json, shuffle_to_dict
+from .shuffles import RegionPoint, read_shuffle_json, shuffle_to_dict
 from . import verify as _verify
 
 __all__ = ["run", "main"]
@@ -50,8 +50,8 @@ def _fmt(value) -> str:
 
 def _cmd_eval(args) -> int:
     shuffle = read_shuffle_json(args.shuffle)
-    point = tau_rho(shuffle)
     inv, invs = inv_invs(shuffle)
+    point = RegionPoint(1.0 - 4.0 * inv, 1.0 - 12.0 * invs)  # as tau_rho builds it
     print(_fmt({"tau": point.tau, "rho": point.rho, "inv": inv, "invs": invs}))
     return 0
 
@@ -104,10 +104,11 @@ def _cmd_area(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    seed = _verify._seed(args.seed)  # reject a bad seed before any check runs
     if args.suite == "all":
-        reports = _verify.run_all_checks(args.seed)
+        reports = _verify.run_all_checks(seed)
     else:
-        reports = _verify.CHECKS[args.suite](args.seed)
+        reports = _verify.CHECKS[args.suite](seed)
     for report in reports:
         print(_fmt(report.as_dict()))
     return 0 if all(r.passed for r in reports) else 1

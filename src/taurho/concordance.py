@@ -18,11 +18,16 @@ counting (Knight, JASA 1966) in O(n log n) time and O(n) extra memory.
 The combinatorial layer (:func:`inversion_data`, :func:`ab_values`,
 :func:`perturbation_coeffs`) exposes the same quantities for straight
 shuffles as explicit polynomials in the weights, which is the form the
-verification harness differentiates.
+verification harness differentiates.  All three read one incidence,
+``_incidence``: which lex-ordered position pairs are inverted and which
+triples are cyclic descents, for one permutation or a stack of them.
+The polynomials are contractions of weight products with it.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,6 +125,50 @@ def tau_rho(shuffle: Shuffle) -> RegionPoint:
     return RegionPoint(1.0 - 4.0 * inv, 1.0 - 12.0 * invs)
 
 
+@functools.lru_cache(maxsize=16)
+def _positions(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lex-ordered 0-based position pairs (2, P) and triples (3, T) of
+    1..n, one per column."""
+    pairs = np.array(list(itertools.combinations(range(n), 2)), dtype=np.intp).reshape(-1, 2).T
+    triples = np.array(list(itertools.combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3).T
+    pairs.setflags(write=False)
+    triples.setflags(write=False)
+    return pairs, triples
+
+
+def _incidence(images) -> tuple[np.ndarray, np.ndarray]:
+    """Which lex-ordered position pairs are inverted, and which triples are
+    cyclic descents (relative order 321, 213 or 132: exactly two of x > y,
+    y > z, z > x), for the images of one permutation (n,) or of a stack of
+    them (m, n): bool (..., P) and (..., T)."""
+    img = np.asarray(images).T
+    pairs, triples = _positions(len(img))
+    p, q = img[pairs]
+    x, y, z = img[triples]
+    return (p > q).T, (((x > y) ^ (y > z)) == (z > x)).T
+
+
+def _ab(inverted, cyclic, u):
+    """a and b of the incidence's permutations at the weight rows u (..., n):
+    the pair and triple products of u summed over the masks, (m, rows) for a
+    stack of permutations and a stack of rows."""
+    pairs, triples = _positions(u.shape[-1])
+    return inverted @ u.T[pairs].prod(0), cyclic @ u.T[triples].prod(0)
+
+
+def _tensors(inverted, cyclic, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """One permutation's inverted pairs as a symmetric 0/1 matrix and its
+    cyclic-descent triples as a symmetric 0/1 tensor."""
+    pairs, triples = _positions(n)
+    pair_mat = np.zeros((n, n))
+    triple_ten = np.zeros((n, n, n))
+    for p, q in itertools.permutations(pairs[:, inverted]):
+        pair_mat[p, q] = 1.0
+    for x, y, z in itertools.permutations(triples[:, cyclic]):
+        triple_ten[x, y, z] = 1.0
+    return pair_mat, triple_ten
+
+
 @dataclass(frozen=True)
 class InversionData:
     """Inverted pairs and cyclically-descending triples of a permutation.
@@ -135,22 +184,12 @@ class InversionData:
 
 
 def inversion_data(perm: Permutation) -> InversionData:
-    n = perm.n
-    img = perm.images
-    pairs = frozenset(
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-        if img[i - 1] > img[j - 1]
+    pairs, triples = _positions(perm.n)
+    inverted, cyclic = _incidence(perm.images)
+    return InversionData(
+        frozenset(map(tuple, (pairs.T[inverted] + 1).tolist())),
+        frozenset(map(tuple, (triples.T[cyclic] + 1).tolist())),
     )
-    triples = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                a, b, c = img[i - 1], img[j - 1], img[k - 1]
-                if (a > b > c) or (b > c > a) or (c > a > b):
-                    triples.append((i, j, k))
-    return InversionData(pairs, frozenset(triples))
 
 
 def _weights_array(u, n: int) -> np.ndarray:
@@ -173,15 +212,8 @@ def ab_values(perm: Permutation, u) -> tuple[float, float]:
     polynomials, so ``u`` is not required to be normalised (the
     perturbation checks feed in off-simplex points on purpose).
     """
-    arr = _weights_array(u, perm.n)
-    data = inversion_data(perm)
-    a = 0.0
-    for i, j in sorted(data.pairs):
-        a += arr[i - 1] * arr[j - 1]
-    b = 0.0
-    for i, j, k in sorted(data.triples):
-        b += arr[i - 1] * arr[j - 1] * arr[k - 1]
-    return a, b
+    a, b = _ab(*_incidence(perm.images), _weights_array(u, perm.n))
+    return float(a), float(b)
 
 
 @dataclass(eq=False)
@@ -208,6 +240,24 @@ class PerturbationCoeffs:
     c_mat: np.ndarray
 
 
+def _coeffs(pair_mat, triple_ten, u, d) -> PerturbationCoeffs:
+    """The expansion from the matrix and tensor of ``_tensors``: a is
+    u.A.u / 2 and b is T[u, u, u] / 6, so each coefficient is a contraction."""
+    a_vec = pair_mat @ u
+    c_mat = triple_ten @ u
+    b_vec = c_mat @ u / 2.0
+    return PerturbationCoeffs(
+        alpha1=float(a_vec @ d),
+        alpha2=float(d @ pair_mat @ d) / 2.0,
+        beta1=float(b_vec @ d),
+        beta2=float(d @ c_mat @ d) / 2.0,
+        beta3=float(triple_ten @ d @ d @ d) / 6.0,
+        a_vec=a_vec,
+        b_vec=b_vec,
+        c_mat=c_mat,
+    )
+
+
 def perturbation_coeffs(perm: Permutation, u, delta) -> PerturbationCoeffs:
     n = perm.n
     arr = _weights_array(u, n)
@@ -216,45 +266,7 @@ def perturbation_coeffs(perm: Permutation, u, delta) -> PerturbationCoeffs:
         raise ValueError(f"delta must have shape ({n},), got {d.shape}")
     if abs(float(d.sum())) > 1e-12:
         raise ValueError(f"delta must sum to zero, got {float(d.sum())!r}")
-
-    data = inversion_data(perm)
-    a_vec = np.zeros(n)
-    for i, j in data.pairs:
-        a_vec[i - 1] += arr[j - 1]
-        a_vec[j - 1] += arr[i - 1]
-    b_vec = np.zeros(n)
-    c_mat = np.zeros((n, n))
-    for i, j, k in data.triples:
-        b_vec[i - 1] += arr[j - 1] * arr[k - 1]
-        b_vec[j - 1] += arr[i - 1] * arr[k - 1]
-        b_vec[k - 1] += arr[i - 1] * arr[j - 1]
-        c_mat[i - 1, j - 1] += arr[k - 1]
-        c_mat[i - 1, k - 1] += arr[j - 1]
-        c_mat[j - 1, k - 1] += arr[i - 1]
-    c_mat = c_mat + c_mat.T
-
-    alpha1 = float(a_vec @ d)
-    alpha2 = 0.0
-    for i, j in data.pairs:
-        alpha2 += d[i - 1] * d[j - 1]
-    beta1 = float(b_vec @ d)
-    beta2 = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            beta2 += c_mat[i, j] * d[i] * d[j]
-    beta3 = 0.0
-    for i, j, k in data.triples:
-        beta3 += d[i - 1] * d[j - 1] * d[k - 1]
-    return PerturbationCoeffs(
-        alpha1=alpha1,
-        alpha2=float(alpha2),
-        beta1=beta1,
-        beta2=float(beta2),
-        beta3=float(beta3),
-        a_vec=a_vec,
-        b_vec=b_vec,
-        c_mat=c_mat,
-    )
+    return _coeffs(*_tensors(*_incidence(perm.images), n), arr, d)
 
 
 def oracle_tau_rho(shuffle: Shuffle, grid_m: int = 2000) -> RegionPoint:

@@ -281,7 +281,12 @@ def realize(
     """A shuffle whose (tau, rho) is within 1e-6 of the target point.
 
     The target must lie in the region (points within BOUNDARY_SNAP of the
-    boundary in the rho direction are snapped onto it first).  Corners
+    boundary in the rho direction are snapped onto it first).  The snap is
+    wider than membership: ``BOUNDARY_SNAP`` is 1e-7 while ``contains``
+    accepts only 1e-12 beyond the boundary, so ``realize`` solves some
+    targets that ``contains`` rejects, replacing them by the boundary
+    point at the same tau; the residual still measures from the original
+    target.  Corners
     and boundary targets short-circuit to flips and prototypes; interior
     targets go through the homotopy search, scanning the upper boundary
     interval first (it keeps the underlying prototypes small), then the

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concordance import ab_values, inversion_data, perturbation_coeffs
+from . import concordance
+from .concordance import ab_values
 from .region import theta
 from .shuffles import Permutation, Shuffle, make_shuffle
 
@@ -81,8 +82,15 @@ class VerificationReport:
         }
 
 
+def _seed(seed: int) -> int:
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(int(seed)))
+    return np.random.Generator(np.random.PCG64(_seed(seed)))
 
 
 def fisher_yates(rng: np.random.Generator, n: int) -> Permutation:
@@ -162,18 +170,9 @@ def _incidence(n: int):
     permutation (rows) at each k (columns): integer sums over the inverted
     pairs and cyclic-descent triples (321, 213, 132), exact below 2^53."""
     perms = np.array(list(itertools.permutations(range(1, n + 1))))
-    pairs = np.array(list(itertools.combinations(range(n), 2)), dtype=int).reshape(-1, 2)
-    triples = np.array(list(itertools.combinations(range(n), 3)), dtype=int).reshape(-1, 3)
-    p, q = np.moveaxis(perms[:, pairs], 2, 0)
-    x, y, z = np.moveaxis(perms[:, triples], 2, 0)
-    inverted = (p > q).astype(float)
-    cyclic = ((x > y).astype(int) + (y > z) + (z > x) == 2).astype(float)
-
-    def scaled_ab(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        a = inverted @ k[:, pairs].prod(axis=2).T.astype(float)
-        return a, cyclic @ k[:, triples].prod(axis=2).T.astype(float)
-
-    return perms, pairs, triples, scaled_ab
+    inverted, cyclic = (mask.astype(float) for mask in concordance._incidence(perms))
+    pairs, triples = concordance._positions(n)
+    return perms, pairs.T, triples.T, lambda k: concordance._ab(inverted, cyclic, k)
 
 
 def _prototype_shaped(images: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -285,91 +284,84 @@ def check_main_inequality(n_max: int = 6, grid_steps: int = 10) -> VerificationR
 
 # --- minimizer structure --------------------------------------------------
 
-def _e2(u: np.ndarray) -> float:
-    return float((u.sum() ** 2 - (u * u).sum()) / 2.0)
-
-
-def _e3(u: np.ndarray) -> float:
-    p1 = float(u.sum())
-    p2 = float((u * u).sum())
-    p3 = float((u**3).sum())
+def _e3(u: np.ndarray) -> np.ndarray:
+    p1 = u.sum(-1)
+    p2 = (u * u).sum(-1)
+    p3 = (u**3).sum(-1)
     return (p1**3 - 3.0 * p1 * p2 + 2.0 * p3) / 6.0
 
 
-def _project_to_level(u: np.ndarray, c2: float) -> np.ndarray:
-    """Exact blend of ``u`` toward the centroid or a vertex so e2 hits c2.
+def _project_to_level(u: np.ndarray, c2) -> np.ndarray:
+    """Exact blend of each row of ``u`` toward the centroid or a vertex so
+    e2 hits c2 (broadcast against the rows).
 
     e2 along a straight segment of the simplex is quadratic in the blend
     parameter, so the crossing is solved in closed form rather than
-    iterated.
+    iterated.  A row already within 1e-15 of its level is returned as is.
     """
-    n = len(u)
-    if abs(_e2(u) - c2) <= 1e-15:
-        return u
-    if _e2(u) < c2:
-        v = np.full(n, 1.0 / n)
-    else:
-        v = np.zeros(n)
-        v[0] = 1.0
-    target_sq = 1.0 - 2.0 * c2
-    s_uu = float(u @ u)
-    s_uv = float(u @ v)
-    s_vv = float(v @ v)
+    n = u.shape[-1]
+    e2 = (u.sum(-1) ** 2 - (u * u).sum(-1)) / 2.0
+    v = np.where((e2 < c2)[..., None], 1.0 / n, np.arange(n) == 0)
+    # row-wise inner products, summed as u @ v sums one pair: a row projects as one point does
+    s_uu, s_uv, s_vv = ((x[..., None, :] @ y[..., :, None])[..., 0, 0] for x, y in ((u, u), (u, v), (v, v)))
     a = s_uu - 2.0 * s_uv + s_vv
     b = 2.0 * (s_uv - s_uu)
-    c = s_uu - target_sq
-    if a <= 1e-30:
-        alpha = -c / b if b != 0.0 else 0.0
-    else:
-        disc = max(b * b - 4.0 * a * c, 0.0)
-        roots = [(-b - math.sqrt(disc)) / (2.0 * a), (-b + math.sqrt(disc)) / (2.0 * a)]
-        inside = [r for r in roots if -1e-12 <= r <= 1.0 + 1e-12]
-        alpha = min(inside, key=abs) if inside else min(roots, key=lambda r: abs(r - 0.5))
-    alpha = min(1.0, max(0.0, alpha))
-    w = (1.0 - alpha) * u + alpha * v
-    w = np.maximum(w, 0.0)
-    return w / w.sum()
+    c = s_uu - (1.0 - 2.0 * c2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0))
+        r1, r2 = (-b - root) / (2.0 * a), (-b + root) / (2.0 * a)
+        in1, in2 = ((-1e-12 <= r) & (r <= 1.0 + 1e-12) for r in (r1, r2))
+        # the root inside [0, 1] nearer 0, else the root nearer 1/2; ties to r1
+        take2 = np.where(in1 == in2, np.where(in1, abs(r2) < abs(r1), abs(r2 - 0.5) < abs(r1 - 0.5)), in2)
+        alpha = np.where(a <= 1e-30, np.where(b != 0.0, -c / b, 0.0), np.where(take2, r2, r1))
+    alpha = np.minimum(1.0, np.maximum(0.0, alpha))[..., None]
+    w = np.maximum((1.0 - alpha) * u + alpha * v, 0.0)
+    return np.where((abs(e2 - c2) <= 1e-15)[..., None], u, w / w.sum(-1, keepdims=True))
 
 
-def _descend_on_level(u: np.ndarray, c2: float, max_sweeps: int = 300):
-    """Coordinate descent for e3 on the slice {e2 = c2} of the simplex.
+def _descend_on_level(u: np.ndarray, c2: np.ndarray, max_sweeps: int = 300):
+    """Coordinate descent for e3 on the slice {e2 = c2} of the simplex, for
+    every start (row of ``u``, level ``c2``) at once.
 
     Steps follow the tangent directions (u_j - u_k, u_k - u_i, u_i - u_j)
-    placed on index triples; each trial point is re-projected exactly
-    onto the level set before evaluation.  Returns (point, converged).
+    placed on index triples, first + then -, both taken from the point at
+    the start of the triple.  Each step tries h = h_max * 2^-m, m < 40, all
+    at once, re-projected exactly onto the level set, and takes the first
+    that lowers e3 by more than 1e-15.  A start stops after a sweep with no
+    step.  Returns the points and which of them converged.
     """
-    n = len(u)
+    u = u.copy()
     best = _e3(u)
-    triples = list(itertools.combinations(range(n), 3))
+    active = np.ones(len(u), dtype=bool)
+    halvings = 2.0 ** -np.arange(40)
     for _ in range(max_sweeps):
-        improved = False
-        for (i, j, k) in triples:
-            delta = np.zeros(n)
-            delta[i] = u[j] - u[k]
-            delta[j] = u[k] - u[i]
-            delta[k] = u[i] - u[j]
+        live = np.flatnonzero(active)
+        if not live.size:
+            break
+        pts, vals, lvl = u[live], best[live], c2[live, None]
+        improved = np.zeros(live.size, dtype=bool)
+        for i, j, k in itertools.combinations(range(u.shape[1]), 3):
+            delta = np.zeros_like(pts)
+            delta[:, [i, j, k]] = pts[:, [j, k, i]] - pts[:, [k, i, j]]
             for signed in (delta, -delta):
-                scale = float(np.max(np.abs(signed)))
-                if scale <= 1e-14:
-                    continue
                 neg = signed < 0.0
-                h_max = float(np.min(u[neg] / -signed[neg])) if neg.any() else 1.0 / scale
-                if h_max <= 1e-14:
-                    continue
-                h = h_max
-                for _ in range(40):
-                    w = _project_to_level(np.maximum(u + h * signed, 0.0), c2)
-                    val = _e3(w)
-                    if val < best - 1e-15:
-                        u, best = w, val
-                        improved = True
-                        break
-                    h /= 2.0
-                    if h < 1e-12 * h_max:
-                        break
-        if not improved:
-            return u, True
-    return u, False
+                scale = abs(signed).max(axis=1)
+                with np.errstate(divide="ignore"):
+                    ratio = np.divide(pts, -signed, out=np.full_like(pts, np.inf), where=neg)
+                    h_max = np.where(neg.any(axis=1), ratio.min(axis=1), 1.0 / scale)
+                rows = np.flatnonzero((scale > 1e-14) & (h_max > 1e-14))
+                h = h_max[rows, None, None] * halvings[:, None]
+                trial = _project_to_level(np.maximum(pts[rows, None] + h * signed[rows, None], 0.0), lvl[rows])
+                e3 = _e3(trial)
+                lower = e3 < vals[rows, None] - 1e-15
+                hit = lower.any(axis=1)
+                first = lower[hit].argmax(axis=1)
+                rows = rows[hit]
+                pts[rows], vals[rows] = trial[hit, first], e3[hit, first]
+                improved[rows] = True
+        u[live], best[live] = pts, vals
+        active[live[~improved]] = False
+    return u, ~active
 
 
 def check_minimizer_structure(n: int, levels: int = 4) -> VerificationReport:
@@ -377,10 +369,16 @@ def check_minimizer_structure(n: int, levels: int = 4) -> VerificationReport:
 
     For the decreasing permutation (so a = e2 and b = e3) and a ladder of
     level values, minimizes e3 over {u in the simplex : e2(u) = c2} from
-    multiple projected lattice seeds plus the analytic prototype seed,
-    then checks the best point found is, after sorting, (r, ..., r, y, 0,
-    ..., 0) with y <= r, and that its value agrees with theta(c2).
+    the 455 lattice points k/12 and the analytic prototype seed, each
+    projected onto the level: on each level the up to 10 of these lowest
+    in e3 that differ after sorting (to 1e-9) are the starts.  One
+    coordinate descent runs all starts of all levels in lockstep.  It
+    then checks the best point of each level is, after sorting, (r, ...,
+    r, y, 0, ..., 0) with y <= r, and that its value agrees with
+    theta(c2).
     """
+    from .realize import prototype_for_tau  # local import avoids a cycle
+
     n = int(n)
     levels = int(levels)
     if n not in (3, 4):
@@ -389,44 +387,40 @@ def check_minimizer_structure(n: int, levels: int = 4) -> VerificationReport:
         raise ValueError(f"levels must be >= 1, got {levels}")
 
     a_max = (1.0 - 1.0 / n) / 2.0
-    worst = math.inf
-    worst_info: dict = {}
-    notes_parts = []
-    all_converged = True
-
-    seeds_raw = [
-        comp / 12.0 for block in _compositions(12, n, _SWEEP_ENTRIES) for comp in block
-    ]
-    for lvl in range(1, levels + 1):
-        c2 = a_max * lvl / levels
-        candidates = []
-        for s in seeds_raw:
-            candidates.append(_project_to_level(s.copy(), c2))
+    lattice = np.concatenate(list(_compositions(12, n, _SWEEP_ENTRIES))) / 12.0
+    c2s = [a_max * lvl / levels for lvl in range(1, levels + 1)]
+    starts, start_level = [], []
+    for lvl, c2 in enumerate(c2s):
+        seeds = lattice
         # Analytic prototype seed: invert the prototype pair-weight formula.
-        from .realize import prototype_for_tau  # local import avoids a cycle
-
         proto = prototype_for_tau(1.0 - 4.0 * c2)
         if proto.n <= n:
             seed = np.zeros(n)
             seed[: proto.n - 1] = proto.r
             seed[proto.n - 1] = max(0.0, 1.0 - (proto.n - 1) * proto.r)
-            candidates.append(_project_to_level(seed, c2))
-        candidates.sort(key=_e3)
-        best_u, best_val, converged = None, math.inf, True
+            seeds = np.vstack([lattice, seed])
+        candidates = _project_to_level(seeds, c2)
         seen: set[tuple] = set()
-        starts = 0
-        for cand in candidates:
+        for cand in candidates[np.argsort(_e3(candidates), kind="stable")]:
             key = tuple(np.round(np.sort(cand), 9))
-            if key in seen:
-                continue
-            seen.add(key)
-            u_fin, ok = _descend_on_level(cand, c2)
-            val = _e3(u_fin)
-            if val < best_val:
-                best_u, best_val, converged = u_fin, val, ok
-            starts += 1
-            if starts >= 10:
+            if key not in seen:
+                seen.add(key)
+                starts.append(cand)
+                start_level.append(lvl)
+            if len(seen) >= 10:
                 break
+    start_level = np.array(start_level)
+    finals, ok = _descend_on_level(np.array(starts), np.array(c2s)[start_level])
+    values = _e3(finals)
+
+    worst = math.inf
+    worst_info: dict = {}
+    notes_parts = []
+    all_converged = True
+    for lvl, c2 in enumerate(c2s):
+        (mine,) = np.nonzero(start_level == lvl)
+        pick = mine[np.argmin(values[mine])]
+        best_u, best_val, converged = finals[pick], float(values[pick]), bool(ok[pick])
         all_converged = all_converged and converged
 
         v = np.sort(best_u)[::-1]
@@ -488,28 +482,27 @@ def check_perturbation_identities(samples: int, seed: int) -> VerificationReport
         if scale > 0.0:
             d /= scale
         d -= d.mean()  # the rescaling can move the sum off zero again
-        coeffs = perturbation_coeffs(perm, u, d)
-        a0, b0 = ab_values(perm, u)
-        ts = [0.5, -0.5, 1.0 / 7.0, -1.0 / 7.0, float(rng.uniform(-1.0, 1.0))]
-        for t in ts:
-            a1, b1 = ab_values(perm, u + t * d)
-            lhs_a = a1 - a0
-            rhs_a = coeffs.alpha1 * t + coeffs.alpha2 * t * t
-            lhs_b = b1 - b0
-            rhs_b = coeffs.beta1 * t + coeffs.beta2 * t * t + coeffs.beta3 * t**3
-            dev_a = abs(lhs_a - rhs_a) / max(1.0, abs(lhs_a), abs(rhs_a))
-            dev_b = abs(lhs_b - rhs_b) / max(1.0, abs(lhs_b), abs(rhs_b))
-            dev = max(dev_a, dev_b)
-            if -dev < worst:
-                worst = -dev
-                worst_info = {
-                    "n": n,
-                    "perm": list(perm.images),
-                    "u": [float(v) for v in u],
-                    "delta": [float(v) for v in d],
-                    "t": t,
-                    "deviation": dev,
-                }
+        masks = concordance._incidence(perm.images)
+        coeffs = concordance._coeffs(*concordance._tensors(*masks, n), u, d)
+        ts = np.array([0.5, -0.5, 1.0 / 7.0, -1.0 / 7.0, float(rng.uniform(-1.0, 1.0))])
+        a, b = concordance._ab(*masks, np.vstack([u, u + ts[:, None] * d]))
+        lhs = np.array([a[1:] - a[0], b[1:] - b[0]])
+        rhs = np.array([
+            coeffs.alpha1 * ts + coeffs.alpha2 * ts * ts,
+            coeffs.beta1 * ts + coeffs.beta2 * ts * ts + coeffs.beta3 * ts**3,
+        ])
+        dev = (abs(lhs - rhs) / np.maximum(1.0, np.maximum(abs(lhs), abs(rhs)))).max(axis=0)
+        j = int(np.argmax(dev))
+        if -dev[j] < worst:
+            worst = -float(dev[j])
+            worst_info = {
+                "n": n,
+                "perm": list(perm.images),
+                "u": [float(v) for v in u],
+                "delta": [float(v) for v in d],
+                "t": float(ts[j]),
+                "deviation": float(dev[j]),
+            }
     return VerificationReport(
         check_name="perturbation_identities",
         instances_tested=samples,
@@ -536,34 +529,28 @@ def check_triangle_inequality(samples: int, seed: int) -> VerificationReport:
         n = int(rng.integers(3, 11))
         perm = fisher_yates(rng, n)
         u = random_simplex(rng, n)
-        data = inversion_data(perm)
-        coeffs = perturbation_coeffs(perm, u, np.zeros(n))
-        c = coeffs.c_mat
-        found_any = False
-        for p in range(1, n + 1):
-            for q in range(p + 1, n + 1):
-                for r in range(1, n + 1):
-                    if r == p or r == q:
-                        continue
-                    if tuple(sorted((p, q, r))) in data.triples:
-                        continue
-                    found_any = True
-                    qualifying += 1
-                    margin = min(
-                        c[p - 1, r - 1] + c[q - 1, r - 1] - c[p - 1, q - 1],
-                        c[p - 1, q - 1],
-                    )
-                    if margin < worst:
-                        worst = float(margin)
-                        worst_info = {
-                            "n": n,
-                            "perm": list(perm.images),
-                            "u": [float(v) for v in u],
-                            "pqr": [p, q, r],
-                            "margin": float(margin),
-                        }
-        if not found_any:
+        triple_ten = concordance._tensors(*concordance._incidence(perm.images), n)[1]
+        c = triple_ten @ u
+        # (p, q, r) over the lex-ordered pairs p < q (rows) and every r
+        p, q = concordance._positions(n)[0]
+        r = np.arange(n)
+        keep = (r != p[:, None]) & (r != q[:, None]) & (triple_ten[p, q] == 0.0)
+        cpq = c[p, q][:, None]
+        margins = np.where(keep, np.minimum(c[p] + c[q] - cpq, cpq), np.inf)
+        qualifying += int(keep.sum())
+        if not keep.any():
             vacuous += 1
+            continue
+        i, k = np.unravel_index(int(np.argmin(margins)), margins.shape)
+        if margins[i, k] < worst:
+            worst = float(margins[i, k])
+            worst_info = {
+                "n": n,
+                "perm": list(perm.images),
+                "u": [float(v) for v in u],
+                "pqr": [int(p[i]) + 1, int(q[i]) + 1, int(k) + 1],
+                "margin": worst,
+            }
     if qualifying == 0:
         worst = 0.0
         worst_info = {"note": "no qualifying triples in any sample"}
@@ -601,8 +588,8 @@ def check_delta_construction(samples: int, seed: int) -> VerificationReport:
         n = int(rng.integers(3, 11))
         perm = fisher_yates(rng, n)
         u = random_simplex(rng, n)
-        coeffs0 = perturbation_coeffs(perm, u, np.zeros(n))
-        a_vec = coeffs0.a_vec
+        pair_mat, triple_ten = concordance._tensors(*concordance._incidence(perm.images), n)
+        a_vec = pair_mat @ u
 
         d = np.zeros(n)
         hit = find_pattern(perm, (1, 2, 3))
@@ -611,9 +598,6 @@ def check_delta_construction(samples: int, seed: int) -> VerificationReport:
             d[p - 1] = a_vec[q - 1] - a_vec[r - 1]
             d[q - 1] = a_vec[r - 1] - a_vec[p - 1]
             d[r - 1] = a_vec[p - 1] - a_vec[q - 1]
-            if np.max(np.abs(d)) <= 1e-14:
-                d[:] = 0.0
-                d[p - 1], d[q - 1] = 1.0, -1.0
             used_i += 1
         else:
             hit = find_pattern(perm, (3, 4, 1, 2))
@@ -625,13 +609,12 @@ def check_delta_construction(samples: int, seed: int) -> VerificationReport:
             d[q - 1] = -d[p - 1]
             d[r - 1] = a_vec[q - 1] - a_vec[p - 1]
             d[s - 1] = -d[r - 1]
-            if np.max(np.abs(d)) <= 1e-14:
-                d[:] = 0.0
-                d[p - 1], d[q - 1] = 1.0, -1.0
             used_ii += 1
-
+        if np.max(np.abs(d)) <= 1e-14:
+            d[:] = 0.0
+            d[p - 1], d[q - 1] = 1.0, -1.0
         d /= np.max(np.abs(d))
-        coeffs = perturbation_coeffs(perm, u, d)
+        coeffs = concordance._coeffs(pair_mat, triple_ten, u, d)
         deviation = max(
             abs(coeffs.alpha1), abs(coeffs.alpha2), abs(coeffs.beta3), coeffs.beta2
         )

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import taurho
-from taurho import boundary_samples, verify, write_shuffle_json
+from taurho import boundary_samples, concordance, verify, write_shuffle_json
 from taurho.cli import run
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -43,6 +43,19 @@ class TestEval:
         first = capsys.readouterr().out
         run(["eval", "--shuffle", shuffle_path])
         assert capsys.readouterr().out == first
+
+    def test_counts_inversions_once(self, shuffle_path, monkeypatch, capsys):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        kernel = concordance._inversions
+        monkeypatch.setattr(concordance, "_inversions", spy)
+        assert run(["eval", "--shuffle", shuffle_path]) == 0
+        assert capsys.readouterr().out == FOUR_SEGMENT_LINE + "\n"
+        assert len(calls) == 1
 
     def test_missing_file(self, tmp_path, capsys):
         code = run(["eval", "--shuffle", str(tmp_path / "nope.json")])
@@ -139,6 +152,15 @@ class TestVerify:
         assert run(["verify", "--suite", "almost_decreasing_classification"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["instances_tested"] == 5913
+
+    def test_negative_seed_is_rejected_before_any_check(self, monkeypatch, capsys):
+        ran = []
+        for name in [n for n in dir(verify) if n.startswith("check_")]:
+            monkeypatch.setattr(verify, name, lambda *args, name=name: ran.append(name))
+        assert run(["verify", "--suite", "all", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and ran == []
+        assert captured.err == "error: seed must be a non-negative integer, got -1\n"
 
     def test_unknown_suite(self, capsys):
         assert run(["verify", "--suite", "nonsense"]) == 2

@@ -5,6 +5,9 @@ frozen only after the independent midpoint-grid oracle reproduced them;
 the reference-shuffle assertions below keep both routes in the suite.
 """
 
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -138,6 +141,87 @@ class TestAbValues:
             inv, invs = inv_invs(sh)
             assert inv == pytest.approx(a, abs=1e-14)
             assert b == pytest.approx(a - 2 * invs, abs=1e-14)
+
+
+def _brute_incidence(images):
+    """Inverted pairs and cyclic-descent triples (321, 213, 132), 1-based,
+    straight from the definitions."""
+    n = len(images)
+    pairs = {
+        (i + 1, j + 1)
+        for i, j in itertools.combinations(range(n), 2)
+        if images[i] > images[j]
+    }
+    triples = set()
+    for i, j, k in itertools.combinations(range(n), 3):
+        x, y, z = images[i], images[j], images[k]
+        if x > y > z or y > z > x or z > x > y:
+            triples.add((i + 1, j + 1, k + 1))
+    return pairs, triples
+
+
+class TestExactReference:
+    """The polynomial layer against a ``fractions`` evaluation of its pair
+    and triple sums, for every permutation with n <= 5, at rational weights
+    (the reference takes the float inputs exactly)."""
+
+    @staticmethod
+    def _cases():
+        for n in range(2, 6):
+            ks = [np.arange(1, n + 1), np.array([3, 1, 4, 1, 5][:n]), np.array([7, 0, 2, 9, 6][:n])]
+            for images in itertools.permutations(range(1, n + 1)):
+                for k in ks:
+                    u = k / k.sum()
+                    d = (np.roll(k, 1) - k) / 16  # sums to zero exactly, |d| < 1
+                    yield Permutation(images), u, d
+
+    def test_inversion_data_matches_brute_force(self):
+        for n in range(1, 8):
+            for images in itertools.permutations(range(1, n + 1)):
+                pairs, triples = _brute_incidence(images)
+                data = inversion_data(Permutation(images))
+                assert data.pairs == pairs and data.triples == triples, images
+
+    def test_ab_values(self):
+        for perm, u, _ in self._cases():
+            pairs, triples = _brute_incidence(perm.images)
+            x = [Fraction(v) for v in u]
+            a = sum((x[i - 1] * x[j - 1] for i, j in pairs), Fraction(0))
+            b = sum((x[i - 1] * x[j - 1] * x[k - 1] for i, j, k in triples), Fraction(0))
+            got = ab_values(perm, u)
+            assert abs(got[0] - a) <= 1e-15 and abs(got[1] - b) <= 1e-15, (perm, u)
+
+    def test_perturbation_coeffs(self):
+        for perm, u, d in self._cases():
+            n = perm.n
+            pairs, triples = _brute_incidence(perm.images)
+            x = [Fraction(v) for v in u]
+            e = [Fraction(v) for v in d]
+            a_vec = [Fraction(0)] * n
+            for i, j in pairs:
+                a_vec[i - 1] += x[j - 1]
+                a_vec[j - 1] += x[i - 1]
+            c_mat = [[Fraction(0)] * n for _ in range(n)]
+            for t in triples:
+                for i, j, k in itertools.permutations(t):
+                    c_mat[i - 1][j - 1] += x[k - 1]
+            b_vec = [sum(c_mat[i][j] * x[j] for j in range(n)) / 2 for i in range(n)]
+            expect = {
+                "alpha1": sum(a_vec[i] * e[i] for i in range(n)),
+                "alpha2": sum((e[i - 1] * e[j - 1] for i, j in pairs), Fraction(0)),
+                "beta1": sum(b_vec[i] * e[i] for i in range(n)),
+                "beta2": sum(
+                    (c_mat[i][j] * e[i] * e[j] for i, j in itertools.combinations(range(n), 2)),
+                    Fraction(0),
+                ),
+                "beta3": sum((e[i - 1] * e[j - 1] * e[k - 1] for i, j, k in triples), Fraction(0)),
+            }
+            got = perturbation_coeffs(perm, u, d)
+            for name, value in expect.items():
+                assert abs(getattr(got, name) - value) <= 1e-15, (name, perm, u)
+            assert np.all(np.abs(got.c_mat - np.array(c_mat, dtype=float)) <= 1e-15)
+            assert np.all(np.abs(got.a_vec - np.array(a_vec, dtype=float)) <= 1e-15)
+            assert np.all(np.abs(got.b_vec - np.array(b_vec, dtype=float)) <= 1e-15)
 
 
 def test_perturbation_worked_example():

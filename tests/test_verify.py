@@ -281,7 +281,195 @@ class TestMainInequality:
         assert peak < 32 * 2**20
 
 
+def _ref_e2(u):
+    return float((u.sum() ** 2 - (u * u).sum()) / 2.0)
+
+
+def _ref_e3(u):
+    p1 = float(u.sum())
+    p2 = float((u * u).sum())
+    p3 = float((u**3).sum())
+    return (p1**3 - 3.0 * p1 * p2 + 2.0 * p3) / 6.0
+
+
+def _ref_project_to_level(u, c2):
+    """Reference: the sequential projection of one point, as the check
+    ran it before its descent went lockstep."""
+    n = len(u)
+    if abs(_ref_e2(u) - c2) <= 1e-15:
+        return u
+    if _ref_e2(u) < c2:
+        v = np.full(n, 1.0 / n)
+    else:
+        v = np.zeros(n)
+        v[0] = 1.0
+    target_sq = 1.0 - 2.0 * c2
+    s_uu = float(u @ u)
+    s_uv = float(u @ v)
+    s_vv = float(v @ v)
+    a = s_uu - 2.0 * s_uv + s_vv
+    b = 2.0 * (s_uv - s_uu)
+    c = s_uu - target_sq
+    if a <= 1e-30:
+        alpha = -c / b if b != 0.0 else 0.0
+    else:
+        disc = max(b * b - 4.0 * a * c, 0.0)
+        roots = [(-b - math.sqrt(disc)) / (2.0 * a), (-b + math.sqrt(disc)) / (2.0 * a)]
+        inside = [r for r in roots if -1e-12 <= r <= 1.0 + 1e-12]
+        alpha = min(inside, key=abs) if inside else min(roots, key=lambda r: abs(r - 0.5))
+    alpha = min(1.0, max(0.0, alpha))
+    w = (1.0 - alpha) * u + alpha * v
+    w = np.maximum(w, 0.0)
+    return w / w.sum()
+
+
+def _ref_descend_on_level(u, c2, max_sweeps=300):
+    """Reference: the sequential coordinate descent from one start."""
+    n = len(u)
+    best = _ref_e3(u)
+    triples = list(itertools.combinations(range(n), 3))
+    for _ in range(max_sweeps):
+        improved = False
+        for (i, j, k) in triples:
+            delta = np.zeros(n)
+            delta[i] = u[j] - u[k]
+            delta[j] = u[k] - u[i]
+            delta[k] = u[i] - u[j]
+            for signed in (delta, -delta):
+                scale = float(np.max(np.abs(signed)))
+                if scale <= 1e-14:
+                    continue
+                neg = signed < 0.0
+                h_max = float(np.min(u[neg] / -signed[neg])) if neg.any() else 1.0 / scale
+                if h_max <= 1e-14:
+                    continue
+                h = h_max
+                for _ in range(40):
+                    w = _ref_project_to_level(np.maximum(u + h * signed, 0.0), c2)
+                    val = _ref_e3(w)
+                    if val < best - 1e-15:
+                        u, best = w, val
+                        improved = True
+                        break
+                    h /= 2.0
+                    if h < 1e-12 * h_max:
+                        break
+        if not improved:
+            return u, True
+    return u, False
+
+
+def _ref_minimizer_structure(n, levels):
+    """Reference: the check with one sequential descent per start."""
+    from taurho.realize import prototype_for_tau
+
+    a_max = (1.0 - 1.0 / n) / 2.0
+    worst, worst_info, notes_parts, all_converged = math.inf, {}, [], True
+    seeds_raw = list(np.concatenate(list(verify._compositions(12, n, 10**6))) / 12.0)
+    for lvl in range(1, levels + 1):
+        c2 = a_max * lvl / levels
+        candidates = [_ref_project_to_level(s.copy(), c2) for s in seeds_raw]
+        proto = prototype_for_tau(1.0 - 4.0 * c2)
+        if proto.n <= n:
+            seed = np.zeros(n)
+            seed[: proto.n - 1] = proto.r
+            seed[proto.n - 1] = max(0.0, 1.0 - (proto.n - 1) * proto.r)
+            candidates.append(_ref_project_to_level(seed, c2))
+        candidates.sort(key=_ref_e3)
+        best_u, best_val, converged = None, math.inf, True
+        seen, starts = set(), 0
+        for cand in candidates:
+            key = tuple(np.round(np.sort(cand), 9))
+            if key in seen:
+                continue
+            seen.add(key)
+            u_fin, ok = _ref_descend_on_level(cand, c2)
+            val = _ref_e3(u_fin)
+            if val < best_val:
+                best_u, best_val, converged = u_fin, val, ok
+            starts += 1
+            if starts >= 10:
+                break
+        all_converged = all_converged and converged
+        v = np.sort(best_u)[::-1]
+        m = int((v > 1e-6).sum())
+        spread = float(v[0] - v[m - 2]) if m >= 2 else 0.0
+        tail = float(v[m:].max()) if m < n else 0.0
+        theta_dev = abs(best_val - theta(min(c2, 0.5)))
+        margin = -max(spread, tail, theta_dev) if converged else -math.inf
+        if margin < worst:
+            worst = margin
+            worst_info = {
+                "n": n,
+                "c2": c2,
+                "minimizer": [float(x) for x in best_u],
+                "e3": best_val,
+                "theta": theta(min(c2, 0.5)),
+            }
+        notes_parts.append(f"c2={c2:.6g}: spread={spread:.2e}, theta_dev={theta_dev:.2e}")
+    notes = "; ".join(notes_parts)
+    if not all_converged:
+        notes += "; WARNING: descent did not converge on some level"
+    return VerificationReport(
+        check_name="minimizer_structure",
+        instances_tested=levels,
+        worst_margin=worst,
+        worst_witness=json.dumps(worst_info, sort_keys=True),
+        passed=worst >= -1e-6 and all_converged,
+        notes=notes,
+    )
+
+
+def _level_notes(notes):
+    return re.findall(r"c2=([^:]+): spread=([^,]+), theta_dev=([^;]+)", notes)
+
+
 class TestMinimizer:
+    def test_three_pieces_match_the_sequential_reference(self):
+        assert check_minimizer_structure(3, 4) == _ref_minimizer_structure(3, 4)
+
+    def test_four_pieces_match_the_sequential_reference(self):
+        got, ref = check_minimizer_structure(4, 4), _ref_minimizer_structure(4, 4)
+        assert got.passed == ref.passed
+        assert ("WARNING" in got.notes) == ("WARNING" in ref.notes)
+        got_levels, ref_levels = _level_notes(got.notes), _level_notes(ref.notes)
+        assert len(got_levels) == len(ref_levels) == 4
+        for (c2, spread, theta_dev), (c2_ref, spread_ref, theta_dev_ref) in zip(got_levels, ref_levels):
+            assert (c2, theta_dev) == (c2_ref, theta_dev_ref)
+            assert abs(float(spread) - float(spread_ref)) <= 1e-8
+
+    @pytest.mark.parametrize("n, max_sweeps", [(3, 300), (4, 300), (4, 2), (5, 4)])
+    def test_lockstep_descent_matches_one_start_at_a_time(self, n, max_sweeps):
+        """Seeded starts on several levels, some on a face of the simplex;
+        with few sweeps some of them do not converge."""
+        rng = _rng(n)
+        a_max = (1.0 - 1.0 / n) / 2.0
+        u = rng.dirichlet(np.ones(n), 6) * (rng.random((6, n)) < 0.8)
+        u[:, 0] += 1e-3
+        u /= u.sum(axis=1, keepdims=True)
+        c2 = a_max * rng.uniform(0.1, 1.0, 6)
+        starts = np.array([_ref_project_to_level(s, c) for s, c in zip(u, c2)])
+        points, converged = verify._descend_on_level(starts, c2, max_sweeps)
+        for s, c, point, ok in zip(starts, c2, points, converged):
+            ref_point, ref_ok = _ref_descend_on_level(s, c, max_sweeps)
+            assert ok == ref_ok
+            assert np.array_equal(point, ref_point)
+        if max_sweeps < 300:
+            assert not converged.all()
+        else:
+            assert converged.all()
+
+    def test_projection_matches_one_point_at_a_time(self):
+        rng = _rng(8)
+        for n in (3, 4, 6):
+            u = rng.dirichlet(np.ones(n), 200) * (rng.random((200, n)) < 0.7)
+            u[:, 0] += 1e-9
+            u /= u.sum(axis=1, keepdims=True)
+            c2 = (1.0 - 1.0 / n) / 2.0 * rng.random(200)
+            c2[:20] = [_ref_e2(row) for row in u[:20]]  # already on the level
+            got = verify._project_to_level(u, c2)
+            assert np.array_equal(got, [_ref_project_to_level(s, c) for s, c in zip(u, c2)])
+
     def test_structure_holds(self):
         for n in (3, 4):
             r = check_minimizer_structure(n, 3)
@@ -334,6 +522,16 @@ class TestSampledChecks:
                 check(0, 0)
             with pytest.raises(ValueError, match=r"got -3$"):
                 check(-3, 0)
+
+    def test_negative_seed_is_named(self):
+        for check in (
+            check_perturbation_identities,
+            check_triangle_inequality,
+            check_delta_construction,
+            check_swap_descent,
+        ):
+            with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
+                check(5, -1)
 
     def test_perturbation_direction_sums_to_zero(self):
         """Rescaling a centred direction can move its sum off zero by more
