@@ -1,7 +1,9 @@
 """Boundary functions, membership, and area of the attainable region."""
 
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +36,16 @@ def _loop_segment_index(x: float) -> int:
     while -1.0 + 2.0 / n > x:
         n += 1
     return n
+
+
+def _ulps(a, b) -> np.ndarray:
+    """How many float64 steps apart a and b are (-0.0 and 0.0 count as one)."""
+
+    def key(v):
+        i = np.asarray(v, dtype=float).view(np.int64)
+        return np.where(i < 0, -(i & 0x7FFF_FFFF_FFFF_FFFF), i)
+
+    return np.abs(key(a) - key(b))
 
 
 class TestSegmentIndex:
@@ -146,8 +158,8 @@ class TestPhi:
     def test_scalar_and_array_agree(self):
         xs = np.linspace(-1, 1, 257)
         ys = phi_boundary(xs)
-        for x, y in zip(xs, ys):
-            assert phi_boundary(float(x)) == pytest.approx(y, abs=1e-15)
+        scalar = [phi_boundary(float(x)) for x in xs]
+        assert _ulps(scalar, ys).max() <= 1
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -195,6 +207,172 @@ class TestVarphiTheta:
         assert out[0] == out[1] == pytest.approx(1 / 6, abs=1e-15)
 
 
+# --- the scalar path and exact references --------------------------------
+
+
+def _zero_d_phi(x: float) -> float:
+    """phi_boundary(x) as numpy evaluated a 0-d input before the math path."""
+    return float(region._phi(np.clip(np.asarray(x, dtype=float), -1.0, 1.0)))
+
+
+def _zero_d_varphi(u: float) -> float:
+    """varphi(u) as numpy evaluated a 0-d input before the math path."""
+    arr = np.clip(np.asarray(u, dtype=float), 0.0, 0.5)
+    return float(np.where(arr <= 0.25, arr / 2.0, (1.0 - region._phi(1.0 - 4.0 * arr)) / 12.0))
+
+
+def _zero_d_phis(xs: np.ndarray) -> np.ndarray:
+    """_zero_d_phi at every x, several times faster.  The segment comes
+    from the array finder, whose integers do not depend on the shape, and
+    the segment formula runs on numpy float64 scalars, as on a 0-d input."""
+    xs = np.clip(xs, -1.0, 1.0)
+    ns = region._segments(np.where(xs == -1.0, 0.0, xs)).astype(float)
+    return np.array([
+        -1.0 if x == -1.0 else float(region._phi_segment_value(n, x))
+        for n, x in zip(ns, xs)
+    ])
+
+
+def _zero_d_varphis(us: np.ndarray) -> np.ndarray:
+    """_zero_d_varphi at every u; outside the inner phi every operation is
+    one correctly rounded step, the same on arrays and on scalars."""
+    us = np.clip(us, 0.0, 0.5)
+    out = us / 2.0
+    high = us > 0.25
+    out[high] = (1.0 - _zero_d_phis(1.0 - 4.0 * us[high])) / 12.0
+    return out
+
+
+def _point_sets() -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """(phi points, varphi points) per set; the varphi points other than
+    the uniform ones are the phi points mapped by u = (1 - x)/4."""
+    rng = np.random.default_rng(2024)
+    junctions = -1.0 + 2.0 / np.arange(2, 10_001)
+    xs = {
+        "log grid": -1.0 + np.logspace(-15, math.log10(2.0), 5_001),
+        "junctions": np.concatenate(
+            [junctions, np.nextafter(junctions, -2.0), np.nextafter(junctions, 2.0)]
+        ),
+        # with the ends of the domain's slack, which are clipped
+        "anchors": np.array([-1.0 - 1e-13, -1.0, -0.0, 0.0, 0.25, 0.5, 1.0, 1.0 + 1e-13]),
+    }
+    sets = {k: (v, (1.0 - v) / 4.0) for k, v in xs.items()}
+    sets["uniform"] = (rng.uniform(-1.0, 1.0, 100_000), rng.uniform(0.0, 0.5, 100_000))
+    phis, us = sets["anchors"]
+    sets["anchors"] = (phis, np.concatenate([us, [-1e-13, -0.0, 0.0, 0.25, 0.5, 0.5 + 1e-13]]))
+    return sets
+
+
+_POINT_SETS = _point_sets()
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and bool(np.all(a.view(np.int64) == b.view(np.int64)))
+
+
+class TestScalarPath:
+    """Scalars take the math path; it must give the bits of numpy's 0-d
+    evaluation, which the helpers above keep as the reference."""
+
+    def test_reference_is_the_zero_d_evaluation(self):
+        rng = np.random.default_rng(5)
+        xs = np.concatenate([rng.choice(xs, 300) for xs, _ in _POINT_SETS.values()])
+        us = np.concatenate([rng.choice(us, 300) for _, us in _POINT_SETS.values()])
+        assert _same_bits(_zero_d_phis(xs), [_zero_d_phi(x) for x in xs])
+        assert _same_bits(_zero_d_varphis(us), [_zero_d_varphi(u) for u in us])
+
+    @pytest.mark.parametrize("name", list(_POINT_SETS))
+    def test_bit_identical_to_zero_d_numpy(self, name):
+        xs, us = _POINT_SETS[name]
+        phis = [phi_boundary(float(x)) for x in xs]
+        varphis = [varphi(float(u)) for u in us]
+        thetas = [theta(float(u)) for u in us]
+        assert all(type(v) is float for v in phis + varphis + thetas)
+        assert _same_bits(phis, _zero_d_phis(xs))
+        ref = _zero_d_varphis(us)
+        assert _same_bits(varphis, ref)
+        assert _same_bits(thetas, us - 2.0 * ref)
+
+    def test_numpy_scalars_and_0d_arrays_take_it(self):
+        for x in (np.float64(-0.7), np.array(-0.7), np.float32(-0.7)):
+            assert phi_boundary(x) == phi_boundary(float(x))
+            assert type(phi_boundary(x)) is float
+            assert type(theta(x / -2.0)) is float
+
+    @pytest.mark.parametrize(
+        "fn,x,message",
+        [
+            (phi_boundary, math.nan, "phi_boundary: argument outside [-1, 1]"),
+            (phi_boundary, math.inf, "phi_boundary: argument outside [-1, 1]"),
+            (phi_boundary, -math.inf, "phi_boundary: argument outside [-1, 1]"),
+            (phi_boundary, -1.001, "phi_boundary: argument outside [-1, 1]"),
+            (phi_boundary, np.array(1.01), "phi_boundary: argument outside [-1, 1]"),
+            (varphi, math.nan, "varphi: argument outside [0, 1/2]"),
+            (varphi, math.inf, "varphi: argument outside [0, 1/2]"),
+            (varphi, -0.01, "varphi: argument outside [0, 1/2]"),
+            (theta, math.nan, "varphi: argument outside [0, 1/2]"),
+            (theta, -math.inf, "varphi: argument outside [0, 1/2]"),
+            (theta, np.float64(0.51), "varphi: argument outside [0, 1/2]"),
+        ],
+    )
+    def test_domain_errors(self, fn, x, message):
+        with pytest.raises(ValueError) as err:
+            fn(x)
+        assert str(err.value) == message
+
+
+def _exact_boundary(x: float) -> mpmath.mpf:
+    """Phi(x) to 50 digits, for x in (-1, 1], from the prototype of x's
+    segment n (found in rationals): its tau 1 - 4(n-1)r + 2n(n-1)r^2
+    solved for r >= 1/n, then its rho."""
+    n = max(2, math.ceil(2 / (1 + Fraction(x))))
+    m = n - 1
+    with mpmath.workdps(50):
+        r = (2 * m + mpmath.sqrt(4 * m * m - 2 * n * m * (1 - mpmath.mpf(x)))) / (2 * n * m)
+        return 1 - 2 * r * m * (3 - 3 * r * m + r * r * (n - 2) * n)
+
+
+def _worst_ulps(xs: np.ndarray) -> float:
+    """The largest error of phi_boundary at xs, on the scalar and on the
+    array path, in ulps of the exact value."""
+    exact = [_exact_boundary(float(x)) for x in xs]
+    scalar = [phi_boundary(float(x)) for x in xs]
+    with mpmath.workdps(50):
+        return max(
+            float(abs(mpmath.mpf(float(v)) - e)) / math.ulp(float(e))
+            for values in (scalar, phi_boundary(xs))
+            for v, e in zip(values, exact)
+        )
+
+
+class TestExactReferences:
+    def test_corner_points(self):
+        ns = np.arange(2, 10_001)
+        for n in ns.tolist():
+            # The prototype at the corner -1 + 2/n has r = 1/n exactly.
+            r, m = Fraction(1, n), n - 1
+            assert 1 - 4 * m * r + 2 * n * m * r * r == Fraction(2, n) - 1
+            rho = 1 - 2 * r * m * (3 - 3 * r * m + r * r * (n - 2) * n)
+            assert rho == Fraction(2, n * n) - 1
+        assert _worst_ulps(-1.0 + 2.0 / ns) <= 3.0
+
+    def test_three_halves_power_arcs(self):
+        ns = np.arange(3, 1_001)
+        lo, hi = -1.0 + 2.0 / ns, -1.0 + 2.0 / (ns - 1)
+        xs = np.concatenate([lo + f * (hi - lo) for f in (0.1, 0.5, 0.9)])
+        assert _worst_ulps(xs) <= 3.0
+
+    def test_apery_is_zeta_3(self):
+        with mpmath.workdps(50):
+            assert APERY == float(mpmath.zeta(3))
+
+    def test_area_closed_form(self):
+        with mpmath.workdps(50):
+            exact = mpmath.mpf(4) / 5 * (1 - mpmath.zeta(3)) + 2 * mpmath.pi**2 / 15
+            assert abs(area_closed_form() - exact) <= 1e-15
+
+
 class TestContains:
     @pytest.mark.parametrize(
         "p,expected",
@@ -206,6 +384,11 @@ class TestContains:
             ((-1.0, -1.0), True),
             ((0.0, 0.51), False),
             ((0.0, -0.51), False),
+            ((1.5, 1.0), False),  # tau outside [-1, 1] is never clamped in
+            ((-3.0, -1.0), False),
+            ((math.nan, -1.0), False),
+            ((math.inf, 1.0), False),
+            ((1 + 5e-13, 1.0), True),  # within the 1e-12 tolerance
         ],
     )
     def test_membership(self, p, expected):
