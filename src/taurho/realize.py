@@ -9,12 +9,24 @@ is determined by the tau coordinate alone and the remaining rho residual
 is a one-dimensional root-finding problem in t.  The scan works entirely
 on closed forms (no shuffles are built until the root is found).
 
-Prototypes near tau = -1 need unboundedly many pieces; construction is
-capped at PROTOTYPE_N_CAP pieces.  Targets whose root would exceed the
-cap sit in a hair-thin band under the image of the flip under ordinal
-sums; those are realized through a two-piece near-flip family (a
-reversed long piece plus a short straight piece) that covers the band
-with bounded representations.
+Only the lower half is searched.  The ordinal sums of the flip, gamma(0),
+trace the flip curve F(x) = 1 - 2((1-x)/2)^1.5; a target above F is
+mirrored to (-x, -y), which lies on or below F, and the assembly for it
+is flipped.  For a target (x, y) on or below F the residual is >= 0 at
+t = 0 and <= 0 at t = (1+x)/4 (the boundary point at x), so one scan
+brackets a root; a boundary target takes the root t = (1+x)/4 without a
+scan.  From the root's curve tau v, the base under the ordinal sum is,
+in order:
+
+1. the prototype at v, if it has at most PROTOTYPE_N_CAP pieces;
+2. else the two-piece near-flip wedge solved exactly for the target;
+3. else (the sliver under the slid wedge curve) the prototype at v, if
+   it has at most 2**15 pieces;
+4. else the wedge of the same tau v, whose rho lies less than 3.4e-7
+   above the lower boundary for 1 + v < 2**-14.
+
+Step 2 runs before step 3 because a wedge has two pieces, while scoring
+a prototype of 10^4 to 2^15 pieces takes tens of milliseconds.
 """
 
 from __future__ import annotations
@@ -53,6 +65,9 @@ BOUNDARY_SNAP = 1e-7
 # segment_index(x) <= N is exactly -1 + 2/N <= x, so the taus whose
 # prototypes have at most PROTOTYPE_N_CAP pieces are those >= _CAP_TAU.
 _CAP_TAU = -1.0 + 2.0 / PROTOTYPE_N_CAP
+# Past the wedge family's reach, prototypes of up to 2**15 pieces; below
+# that tau the same-tau wedge is closer to the boundary than 3.4e-7.
+_SLIVER_TAU = -1.0 + 2.0 / 2**15
 _CURVE_N_GUARD = 10_000_000
 _SCAN_POINTS = 4096
 _BISECT_TOL = 1e-13
@@ -83,7 +98,17 @@ class Prototype:
 
 @dataclass(frozen=True)
 class HomotopyPoint:
-    """Where on the (s, t) homotopy a realization landed, and how close."""
+    """Where on the (s, t) homotopy a realization landed, and how close.
+
+    The shuffle is the ordinal sum with share s (the identity on [0, s])
+    over a base shuffle: the prototype at curve parameter t (see
+    ``boundary_curve``), whose tau is v = 4t - 1; in the sliver, the
+    near-flip wedge of that tau; or, reported at t = 0 and v = -1, the
+    near-flip wedge solved exactly for the target.  For a target above
+    the flip curve the shuffle is the flip of the lower-half solution for
+    (-x, -y): s is that solution's share and t = (3 + v)/4 the curve
+    parameter of its flipped base point.
+    """
 
     s: float
     t: float
@@ -170,7 +195,8 @@ def boundary_curve(t: float) -> tuple[Shuffle, RegionPoint]:
 
 def _rho_scaled(x: float, tau_c, rho_c):
     """rho of the ordinal sum whose curve point is (tau_c, rho_c) and whose
-    s is chosen so that the composed tau equals x; requires tau_c <= x."""
+    s is chosen so that the composed tau equals x; requires tau_c <= x.
+    At (tau_c, rho_c) = (-1, -1) it is the flip curve F(x)."""
     ratio = (1.0 - x) / (1.0 - tau_c)
     return 1.0 - ratio**1.5 * (1.0 - rho_c)
 
@@ -181,16 +207,9 @@ def _g_lower(x: float, y: float, t):
     return _rho_scaled(x, tau_c, rho_c) - y
 
 
-def _g_upper(x: float, y: float, t):
-    v = 4.0 * np.asarray(t, dtype=float) - 3.0
-    tau_c = -v
-    rho_c = -phi_boundary(v)
-    return _rho_scaled(x, tau_c, rho_c) - y
-
-
-def _rightmost_bracket(g, lo: float, hi: float, points: int):
+def _rightmost_bracket(g, lo: float, hi: float):
     """Scan [lo, hi] and return the bracketing cell closest to hi, or None."""
-    ts = np.linspace(lo, hi, points + 1)
+    ts = np.linspace(lo, hi, _SCAN_POINTS + 1)
     gs = np.asarray(g(ts))
     sign_change = gs[:-1] * gs[1:] <= 0.0
     idx = np.nonzero(sign_change)[0]
@@ -257,22 +276,38 @@ def _ordinal_s(x: float, tau_c: float) -> float:
     return min(1.0, max(0.0, s))
 
 
-def _assemble(curve_shuffle: Shuffle, tau_c: float, x: float, t_report: float,
-              tau_t: float, rho_t: float) -> tuple[Shuffle, HomotopyPoint]:
-    s = _ordinal_s(x, tau_c)
-    assembled = ordinal_sum_with_identity(curve_shuffle, s)
-    achieved = tau_rho(assembled)
-    residual = math.hypot(achieved.tau - tau_t, achieved.rho - rho_t)
-    return assembled, HomotopyPoint(s, t_report, residual)
+def _lower_half(
+    x: float, y: float, lower: float
+) -> tuple[Shuffle, float, float, float]:
+    """(shuffle, s, v, t) for a target with lower <= y <= F(x) and
+    |x| < 1: the ordinal sum over the base point of tau v at curve
+    parameter t.  A boundary target has v = x; any other is solved for
+    the rightmost root t of ``_g_lower`` on [0, (1+x)/4]."""
+    if y - lower <= 1e-12:
+        v, t = x, (1.0 + x) / 4.0
+    else:
+        def g(t):
+            return _g_lower(x, y, t)
 
-
-def _wedge_realize(x: float, y: float) -> tuple[Shuffle, float] | None:
-    """Ordinal sum over the near-flip wedge family hitting (x, y), if it can."""
-    w = _solve_wedge(x, y)
-    if w is None:
-        return None
-    s = _ordinal_s(x, -1.0 + 2.0 * w * w)
-    return ordinal_sum_with_identity(_wedge_shuffle(w), s), s
+        bracket = _rightmost_bracket(g, 0.0, (1.0 + x) / 4.0)
+        # g(0) = F(x) - y >= 0 and g((1+x)/4) < 0, so a scan without a sign
+        # change has only lost the sign of g(0) to rounding: y is within an
+        # ulp of F and the root is 0.
+        t = 0.0 if bracket is None else _bisect(g, *bracket)
+        v = 4.0 * t - 1.0
+    if v >= _CAP_TAU:
+        base = prototype_shuffle(prototype_for_tau(v))
+    else:
+        w = _solve_wedge(x, y)
+        if w is not None:
+            s = _ordinal_s(x, -1.0 + 2.0 * w * w)
+            return ordinal_sum_with_identity(_wedge_shuffle(w), s), s, -1.0, 0.0
+        if v >= _SLIVER_TAU:
+            base = prototype_shuffle(prototype_for_tau(v))
+        else:
+            base = _wedge_shuffle(math.sqrt((1.0 + v) / 2.0))
+    s = _ordinal_s(x, v)
+    return ordinal_sum_with_identity(base, s), s, v, t
 
 
 def realize(
@@ -286,15 +321,15 @@ def realize(
     accepts only 1e-12 beyond the boundary, so ``realize`` solves some
     targets that ``contains`` rejects, replacing them by the boundary
     point at the same tau; the residual still measures from the original
-    target.  Corners
-    and boundary targets short-circuit to flips and prototypes; interior
-    targets go through the homotopy search, scanning the upper boundary
-    interval first (it keeps the underlying prototypes small), then the
-    lower one, with a 16x finer rescan before giving up.  Raises
-    ValueError for a NaN or infinite tau or rho, TargetOutsideRegion (a
-    ValueError) for outside points, and RuntimeError with diagnostics if
-    no bracket is found (which no in-region target should trigger, except
-    deep in the near-corner sliver below the wedge family's reach).
+    target.
+
+    Corners give the identity and the flip.  Any other target (x, y) is
+    solved in the lower half, on or below the flip curve
+    F(x) = 1 - 2((1-x)/2)^1.5: a target above F is mirrored to (-x, -y),
+    which lies on or below F since F(x) >= x >= -F(-x), and the whole
+    assembly is flipped.  Every point that ``contains`` accepts is
+    realized.  Raises ValueError for a NaN or infinite tau or rho and
+    TargetOutsideRegion (a ValueError) for outside points.
     """
     if isinstance(target, RegionPoint):
         tau_t, rho_t = target.tau, target.rho
@@ -322,67 +357,13 @@ def realize(
         y = upper
 
     if abs(x - 1.0) <= 1e-12:
-        sh = identity_shuffle()
-        pt = tau_rho(sh)
-        return sh, HomotopyPoint(0.0, 0.5, math.hypot(pt.tau - tau_t, pt.rho - rho_t))
-    if abs(x + 1.0) <= 1e-9:
-        sh = flip_shuffle()
-        pt = tau_rho(sh)
-        return sh, HomotopyPoint(0.0, 0.0, math.hypot(pt.tau - tau_t, pt.rho - rho_t))
-
-    if y - lower <= 1e-12 and x >= _CAP_TAU:
-        sh = prototype_shuffle(prototype_for_tau(x))
-        pt = tau_rho(sh)
-        return sh, HomotopyPoint(
-            0.0, (1.0 + x) / 4.0, math.hypot(pt.tau - tau_t, pt.rho - rho_t)
-        )
-    if upper - y <= 1e-12 and -x >= _CAP_TAU:
-        sh = flip(prototype_shuffle(prototype_for_tau(-x)))
-        pt = tau_rho(sh)
-        return sh, HomotopyPoint(
-            0.0, (3.0 - x) / 4.0, math.hypot(pt.tau - tau_t, pt.rho - rho_t)
-        )
-
-    def g_up(t):
-        return _g_upper(x, y, t)
-
-    def g_lo(t):
-        return _g_lower(x, y, t)
-
-    up_lo, up_hi = (3.0 - x) / 4.0, 1.0
-    lo_lo, lo_hi = 0.0, (1.0 + x) / 4.0
-    for points in (_SCAN_POINTS, 16 * _SCAN_POINTS):
-        bracket = _rightmost_bracket(g_up, up_lo, up_hi, points)
-        if bracket is not None:
-            t_star = _bisect(g_up, *bracket)
-            v = 4.0 * t_star - 3.0
-            if v >= _CAP_TAU:
-                base = flip(prototype_shuffle(prototype_for_tau(v)))
-                return _assemble(base, -v, x, t_star, tau_t, rho_t)
-            # Root needs an oversized prototype: realize the point-reflected
-            # target through the wedge family and flip the whole assembly.
-            hit = _wedge_realize(-x, -y)
-            if hit is not None:
-                sh, s = hit
-                sh = flip(sh)
-                pt = tau_rho(sh)
-                residual = math.hypot(pt.tau - tau_t, pt.rho - rho_t)
-                return sh, HomotopyPoint(s, 1.0, residual)
-        bracket = _rightmost_bracket(g_lo, lo_lo, lo_hi, points)
-        if bracket is not None:
-            t_star = _bisect(g_lo, *bracket)
-            v = 4.0 * t_star - 1.0
-            if v >= _CAP_TAU:
-                base = prototype_shuffle(prototype_for_tau(v))
-                return _assemble(base, v, x, t_star, tau_t, rho_t)
-            hit = _wedge_realize(x, y)
-            if hit is not None:
-                sh, s = hit
-                pt = tau_rho(sh)
-                residual = math.hypot(pt.tau - tau_t, pt.rho - rho_t)
-                return sh, HomotopyPoint(s, 0.0, residual)
-    raise RuntimeError(
-        f"realize: no bracket for target ({tau_t!r}, {rho_t!r}); "
-        f"slice bounds [{lower!r}, {upper!r}], scan intervals "
-        f"[{lo_lo!r}, {lo_hi!r}] and [{up_lo!r}, {up_hi!r}]"
-    )
+        sh, s, t = identity_shuffle(), 0.0, 0.5
+    elif abs(x + 1.0) <= 1e-9:
+        sh, s, t = flip_shuffle(), 0.0, 0.0
+    elif y > _rho_scaled(x, -1.0, -1.0):
+        sh, s, v, _ = _lower_half(-x, -y, -upper)
+        sh, t = flip(sh), (3.0 + v) / 4.0
+    else:
+        sh, s, _, t = _lower_half(x, y, lower)
+    pt = tau_rho(sh)
+    return sh, HomotopyPoint(s, t, math.hypot(pt.tau - tau_t, pt.rho - rho_t))

@@ -66,48 +66,32 @@ _DOMAIN_SLACK = 1e-12
 
 
 def _segments(x: np.ndarray) -> np.ndarray:
-    """The segment index of every x in (-1, 1], as int64."""
-    # -1 + 2/k rounds to the nearest float, which is at most x about when
-    # 2/k <= 1 + x + 2**-54; the ceiling of 2/(1 + x + 2**-54) is then
-    # within one step of the index except within about 1e-15 of -1.
+    """The segment index of every x in (-1, 1], as int64.
+
+    -1 + 2/k rounds to the nearest float, so the index is
+    N = min{k >= 2 : fl(2/k) <= 1 + x + 2**-54} (ties aside), and
+    T(1 - u) <= N < T(1 + u) + 1 for T = 2/(1 + x + 2**-54) and
+    u = 2**-53.  The start ceil(fl(T)) takes at most three roundings, so
+    it lies in [T(1 - 3u), T(1 + 3u) + 1), and the two differ by less
+    than 1 + 4uT <= 1 + 2**-50/(1 + x).  For 1 + x > 1e-12 rounding moves
+    the start by under 1e-3 of a step, so one unit step settles the
+    index; the tests check every float with 1 + x <= 1e-12.
+    """
     n = np.maximum(np.ceil(2.0 / (1.0 + x + 2.0**-54)), 2.0).astype(np.int64)
-    for _ in range(2):
-        down = (n > 2) & (-1.0 + 2.0 / (n - 1) <= x)
-        up = -1.0 + 2.0 / n > x
-        open_ = down | up
-        if not open_.any():
-            return n
-        n = np.where(down, n - 1, n + up)
-    n[open_] = _bisect_segments(x[open_])
-    return n
-
-
-def _bisect_segments(x: np.ndarray) -> np.ndarray:
-    """The segment index of every x in (-1, 1) by bisection on k, in int64
-    since k reaches about 1.2e16 at the float just above -1."""
-    lo = np.ones(x.shape, dtype=np.int64)  # -1 + 2/1 = 1 > x
-    hi = np.full(x.shape, 2**55, dtype=np.int64)  # -1 + 2**-54 rounds to -1
-    while np.any(hi - lo > 1):
-        mid = (lo + hi) // 2
-        right = -1.0 + 2.0 / mid <= x
-        lo = np.where(right, lo, mid)
-        hi = np.where(right, mid, hi)
-    return hi
+    down = (n > 2) & (-1.0 + 2.0 / (n - 1) <= x)
+    up = -1.0 + 2.0 / n > x
+    return n - down + up
 
 
 def _segment_scalar(x: float) -> int:
     """``_segments`` for one float in (-1, 1], in Python ints: the same
-    start and unit steps, then ``_bisect_segments`` if two steps are not
-    enough."""
+    start and unit step."""
     n = max(math.ceil(2.0 / (1.0 + x + 2.0**-54)), 2)
-    for _ in range(2):
-        if n > 2 and -1.0 + 2.0 / (n - 1) <= x:
-            n -= 1
-        elif -1.0 + 2.0 / n > x:
-            n += 1
-        else:
-            return n
-    return int(_bisect_segments(np.array([x]))[0])
+    if n > 2 and -1.0 + 2.0 / (n - 1) <= x:
+        return n - 1
+    if -1.0 + 2.0 / n > x:
+        return n + 1
+    return n
 
 
 def segment_index(x: float) -> int:

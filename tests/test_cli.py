@@ -119,6 +119,13 @@ class TestRealize:
         assert payload["shuffle"]["perm"] == [3, 2, 1]
         assert payload["homotopy"]["residual"] <= 1e-6
 
+    def test_sliver_target(self, capsys):
+        code = run(
+            ["realize", "--tau", "-0.9999521533741442", "--rho", "-0.9999999919626323"]
+        )
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["homotopy"]["residual"] <= 1e-6
+
     def test_outside_region_is_exit_1(self, capsys):
         assert run(["realize", "--tau", "0.0", "--rho", "0.9"]) == 1
         assert capsys.readouterr().err.startswith("error:")

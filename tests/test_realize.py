@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from taurho import (
     HomotopyPoint,
@@ -118,11 +119,144 @@ class TestHomotopyPoint:
             HomotopyPoint(0.0, 0.5, -1e-3)
 
 
+def _flip_curve(x: float) -> float:
+    """F(x): the flip under ordinal sums with the identity."""
+    return 1.0 - 2.0 * ((1.0 - x) / 2.0) ** 1.5
+
+
+# The targets of the CLI examples, with the shuffle (perm, weights, signs),
+# s and t that realize gives them.
+_R3 = 0.33333500000006894
+_R30 = 0.03458764725434764
+FROZEN_TARGETS = [
+    (
+        (-0.3333333333, -0.7777777778),
+        (3, 2, 1),
+        (_R3, _R3, 0.3333299999998621),
+        (1, 1, 1),
+        0.0,
+        0.16666666667500002,
+    ),
+    (
+        (0.2, 0.1),
+        (1, 4, 3, 2),
+        (0.18491381899126147, 0.3562632378812012, 0.3562632378812012,
+         0.10255970524633612),
+        (1, 1, 1, 1),
+        0.18491381899126147,
+        0.19896088030340028,
+    ),
+    (
+        (-0.9, -0.95),
+        (1,) + tuple(range(30, 1, -1)),
+        (0.00800673345756353,) + (_R30,) * 28 + (0.023539143420702572,),
+        (1,) * 30,
+        0.00800673345756353,
+        0.017301264513980636,
+    ),
+    (
+        (0.5, 0.6),
+        (1, 5, 4, 3, 2),
+        (0.3932033326214056,) + (0.19838218182897877,) * 3
+        + (0.011650121891658089,),
+        (1, 1, 1, 1, 1),
+        0.3932033326214056,
+        0.16051261640068049,
+    ),
+]
+
+# Targets in the sliver above the lower corner, under the reach of the
+# near-flip wedge family, and one in the mirrored sliver at the upper corner.
+# The first two take prototypes of 10^4 to 2^15 pieces, the others wedges.
+SLIVER_TARGETS = [
+    (-0.99981, -0.9999999819497971),
+    (-0.99981, -0.9999996969678473),
+    (-0.9999521533741442, -0.9999999919626323),
+    (-0.9999968377223398, -0.9999999999902566),
+    (-0.99999, -0.999999998450005),
+    (-0.9999683772233983, -0.999999952066334),
+    (0.99999, 0.99999999995),
+]
+
+
+@st.composite
+def region_targets(draw):
+    """Points of the region, weighted toward both corners, both boundaries
+    and the band around the flip curve F."""
+    gap = 10.0 ** draw(st.floats(-9.0, -1.0))
+    x = draw(
+        st.one_of(
+            st.just(-1.0 + gap),
+            st.just(1.0 - gap),
+            st.floats(-1.0, 1.0, allow_nan=False),
+        )
+    )
+    lo, hi = phi_boundary(x), -phi_boundary(-x)
+    width = hi - lo
+    near = width * 10.0 ** draw(st.floats(-12.0, 0.0))
+    y = draw(
+        st.sampled_from(
+            [
+                lo,
+                hi,
+                lo + near,
+                hi - near,
+                _flip_curve(x),
+                _flip_curve(x) + near,
+                _flip_curve(x) - near,
+                lo + width * draw(st.floats(0.0, 1.0)),
+            ]
+        )
+    )
+    assume(contains((x, y)))
+    return x, y
+
+
 class TestRealize:
     def test_cli_worked_example(self):
-        sh, h = realize((-0.3333333333, -0.7777777778))
+        for target, perm, weights, signs, s, t in FROZEN_TARGETS:
+            sh, h = realize(target)
+            assert h.residual <= 1e-6
+            assert sh.perm.images == perm
+            assert sh.signs == signs
+            assert sh.weights.u == pytest.approx(weights, rel=0, abs=1e-12)
+            assert h.s == pytest.approx(s, rel=0, abs=1e-12)
+            assert h.t == pytest.approx(t, rel=0, abs=1e-12)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(region_targets())
+    def test_every_region_point_is_realized(self, target):
+        sh, h = realize(target)
+        pt = tau_rho(sh)
+        assert math.hypot(pt.tau - target[0], pt.rho - target[1]) <= 1e-6
         assert h.residual <= 1e-6
-        assert sh.perm.images == (3, 2, 1)
+        assert sh.n <= 2**15 + 1
+
+    @pytest.mark.parametrize("target", SLIVER_TARGETS)
+    def test_sliver(self, target):
+        assert contains(target)
+        sh, h = realize(target)
+        pt = tau_rho(sh)
+        assert math.hypot(pt.tau - target[0], pt.rho - target[1]) <= 1e-6
+        assert h.residual <= 1e-6
+        assert sh.n <= 2**15 + 1
+
+    def test_wedge_comes_before_large_prototypes(self):
+        """The root here needs a prototype of 11,293 pieces; the exact wedge
+        reaches the target with three."""
+        sh, h = realize((-0.9994220307115846, -0.9993986543394635))
+        assert sh.n == 3 and -1 in sh.signs
+        assert h.residual <= 1e-12
+
+    def test_scan_that_loses_the_sign_at_the_flip_end(self):
+        """On the flip curve the residual at t = 0 is zero in exact
+        arithmetic.  Here numpy's SIMD power (AVX-512) makes it -2.2e-16 in
+        the scan, which then sees no sign change; the root is t = 0 either
+        way."""
+        x = -0.6647876036897746
+        sh, h = realize((x, _flip_curve(x)))
+        assert (h.s, h.t) == (pytest.approx(0.0876438185418551, abs=1e-12), 0.0)
+        assert h.residual <= 1e-12
 
     def test_corners(self):
         sh, h = realize((1.0, 1.0))
@@ -134,8 +268,10 @@ class TestRealize:
         for x in (-0.6, -0.25, 0.3):
             sh, h = realize((x, phi_boundary(x)))
             assert h.residual <= 1e-9
+            assert (h.s, h.t) == (0.0, (1.0 + x) / 4.0)
             sh, h = realize((x, -phi_boundary(-x)))
             assert h.residual <= 1e-9
+            assert (h.s, h.t) == (0.0, (3.0 - x) / 4.0)
 
     def test_interior_grid(self, rng):
         hits = 0

@@ -38,6 +38,20 @@ def _loop_segment_index(x: float) -> int:
     return n
 
 
+def _bisect_segment_index(x: np.ndarray) -> np.ndarray:
+    """Reference finder: min{k >= 2 : -1 + 2/k <= x} for every x in
+    (-1, 1) by bisection on k, in int64 since k reaches about 1.2e16 at
+    the float just above -1."""
+    lo = np.ones(x.shape, dtype=np.int64)  # -1 + 2/1 = 1 > x
+    hi = np.full(x.shape, 2**55, dtype=np.int64)  # -1 + 2**-54 rounds to -1
+    while np.any(hi - lo > 1):
+        mid = (lo + hi) >> 1
+        right = -1.0 + 2.0 / mid <= x
+        np.copyto(hi, mid, where=right)
+        np.copyto(lo, mid, where=~right)
+    return hi
+
+
 def _ulps(a, b) -> np.ndarray:
     """How many float64 steps apart a and b are (-0.0 and 0.0 count as one)."""
 
@@ -79,7 +93,7 @@ class TestSegmentIndex:
         np.testing.assert_array_equal(region._segments(xs), expected)
         below_one = xs < 1.0
         np.testing.assert_array_equal(
-            region._bisect_segments(xs[below_one]), expected[below_one]
+            _bisect_segment_index(xs[below_one]), expected[below_one]
         )
         assert [segment_index(float(x)) for x in xs] == list(expected)
 
@@ -90,6 +104,22 @@ class TestSegmentIndex:
         np.testing.assert_array_equal(region._segments(xs), expected)
         assert [segment_index(float(x)) for x in xs] == list(expected)
 
+    def test_one_unit_step_matches_bisection(self):
+        """The start plus one unit step is the index on every float up to
+        -1 + 1e-12, where the docstring's bound gives out, and on
+        every junction -1 + 2/k with k < 2e6 and its lower neighbour."""
+        corner = -1.0 + np.arange(1, 9008) * 2.0**-53
+        assert corner[-1] == -1.0 + 1e-12
+        expected = _bisect_segment_index(corner)
+        np.testing.assert_array_equal(region._segments(corner), expected)
+        assert [segment_index(float(x)) for x in corner] == list(expected)
+        for ks in np.array_split(np.arange(2, 2_000_000), 8):
+            junctions = -1.0 + 2.0 / ks
+            for xs in (junctions, np.nextafter(junctions, -1.0)):
+                np.testing.assert_array_equal(
+                    region._segments(xs), _bisect_segment_index(xs)
+                )
+
     @pytest.mark.parametrize(
         "x", [-1.0 + 1e-11, -1.0 + 3e-13, float(np.nextafter(-1.0, 0.0))]
     )
@@ -97,7 +127,7 @@ class TestSegmentIndex:
         n = segment_index(x)
         assert -1.0 + 2.0 / n <= x < -1.0 + 2.0 / (n - 1)
         assert region._segments(np.array([x]))[0] == n
-        assert region._bisect_segments(np.array([x]))[0] == n
+        assert _bisect_segment_index(np.array([x]))[0] == n
 
     def test_brackets_its_segment(self):
         rng = np.random.default_rng(3)
