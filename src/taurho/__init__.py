@@ -10,137 +10,25 @@ The public surface re-exported here splits into five layers:
 - ``region``: the boundary functions, membership tests, and area;
 - ``realize``: prototypes, the boundary curve, and target realization;
 - ``verify``: the self-check battery with its report type.
+
+Each layer lists its public names once, in its own ``__all__``; this
+package exports their union.
 """
 
-from .shuffles import (
-    Permutation,
-    RegionPoint,
-    Shuffle,
-    SimplexWeights,
-    breakpoints,
-    canonicalize,
-    copula_value,
-    evaluate,
-    flip,
-    flip_shuffle,
-    identity_shuffle,
-    inverse,
-    make_shuffle,
-    ordinal_sum_with_identity,
-    read_shuffle_json,
-    shuffle_from_dict,
-    shuffle_to_dict,
-    write_shuffle_json,
-)
-from .concordance import (
-    InversionData,
-    PerturbationCoeffs,
-    ab_values,
-    inv_invs,
-    inversion_data,
-    oracle_tau_rho,
-    perturbation_coeffs,
-    tau_rho,
-)
-from .region import (
-    APERY,
-    area_closed_form,
-    area_quadrature,
-    boundary_samples,
-    classical_area_quadrature,
-    classical_contains,
-    classical_rho_bounds,
-    contains,
-    phi_boundary,
-    segment_index,
-    theta,
-    varphi,
-)
-from .realize import (
-    HomotopyPoint,
-    Prototype,
-    TargetOutsideRegion,
-    boundary_curve,
-    prototype_for_tau,
-    prototype_shuffle,
-    realize,
-)
-from .verify import (
-    VerificationReport,
-    check_almost_decreasing_classification,
-    check_delta_construction,
-    check_main_inequality,
-    check_minimizer_structure,
-    check_perturbation_identities,
-    check_swap_descent,
-    check_triangle_inequality,
-    find_pattern,
-    fisher_yates,
-    random_shuffle,
-    random_simplex,
-    run_all_checks,
-)
+from . import concordance, realize as _realize, region, shuffles, verify
+from .shuffles import *
+from .concordance import *
+from .region import *
+from .realize import *
+from .verify import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Permutation",
-    "SimplexWeights",
-    "Shuffle",
-    "RegionPoint",
-    "make_shuffle",
-    "identity_shuffle",
-    "flip_shuffle",
-    "breakpoints",
-    "evaluate",
-    "inverse",
-    "flip",
-    "ordinal_sum_with_identity",
-    "canonicalize",
-    "copula_value",
-    "shuffle_to_dict",
-    "shuffle_from_dict",
-    "read_shuffle_json",
-    "write_shuffle_json",
-    "InversionData",
-    "PerturbationCoeffs",
-    "ab_values",
-    "inv_invs",
-    "inversion_data",
-    "oracle_tau_rho",
-    "perturbation_coeffs",
-    "tau_rho",
-    "APERY",
-    "area_closed_form",
-    "area_quadrature",
-    "boundary_samples",
-    "classical_area_quadrature",
-    "classical_contains",
-    "classical_rho_bounds",
-    "contains",
-    "phi_boundary",
-    "segment_index",
-    "theta",
-    "varphi",
-    "HomotopyPoint",
-    "Prototype",
-    "TargetOutsideRegion",
-    "boundary_curve",
-    "prototype_for_tau",
-    "prototype_shuffle",
-    "realize",
-    "VerificationReport",
-    "check_almost_decreasing_classification",
-    "check_delta_construction",
-    "check_main_inequality",
-    "check_minimizer_structure",
-    "check_perturbation_identities",
-    "check_swap_descent",
-    "check_triangle_inequality",
-    "find_pattern",
-    "fisher_yates",
-    "random_shuffle",
-    "random_simplex",
-    "run_all_checks",
+    *shuffles.__all__,
+    *concordance.__all__,
+    *region.__all__,
+    *_realize.__all__,
+    *verify.__all__,
     "__version__",
 ]

@@ -254,20 +254,12 @@ def _solve_wedge(x: float, y: float) -> float | None:
         return _rho_scaled(x, tau_c, rho_c) - y
 
     w_hi = min(math.sqrt(max(1.0 + x, 0.0) / 2.0), 1.0 - 1e-9)
-    g_lo = float(achieved(0.0))
-    g_hi = float(achieved(w_hi))
-    if g_lo < 0.0 or g_hi > 0.0:
+    if achieved(0.0) < 0.0 or achieved(w_hi) > 0.0:
         return None
-    a, b = 0.0, w_hi
-    for _ in range(200):
-        if b - a <= 1e-15:
-            break
-        m = (a + b) / 2.0
-        if float(achieved(m)) >= 0.0:
-            a = m
-        else:
-            b = m
-    return (a + b) / 2.0
+    # Bisect on the sign alone: near its root achieved rounds to 0 on a run
+    # of w, and the root taken is the run's right end (to _BISECT_TOL), not
+    # whichever midpoint first lands inside the run.
+    return _bisect(lambda w: 1.0 if achieved(w) >= 0.0 else -1.0, 0.0, w_hi)
 
 
 def _ordinal_s(x: float, tau_c: float) -> float:

@@ -21,6 +21,7 @@ notation.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -53,6 +54,22 @@ _JSON_SUM_TOL = 1e-9
 _ZERO_WEIGHT = 1e-12
 
 
+def _entries(field: str, values, plain: type) -> tuple:
+    """``values`` as a tuple of ``plain`` (int or float), after checking that
+    every entry is an integer (for int) or a real number (for float) and not
+    a bool; numpy integer and float scalars qualify."""
+    values = tuple(values)
+    types = set(map(type, values))
+    if types <= {plain}:
+        return values
+    kind, what = (numbers.Integral, "integers") if plain is int else (numbers.Real, "real numbers")
+    for t in types:
+        if issubclass(t, bool) or not issubclass(t, kind):
+            bad = next(v for v in values if type(v) is t)
+            raise ValueError(f"{field} entries must be {what}, got {bad!r}")
+    return tuple(map(plain, values))
+
+
 @dataclass(frozen=True)
 class Permutation:
     """A permutation of {1, ..., n} in one-line notation."""
@@ -60,12 +77,13 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        imgs = tuple(int(v) for v in self.images)
+        imgs = _entries("perm", self.images, int)
         object.__setattr__(self, "images", imgs)
-        if len(imgs) == 0:
+        n = len(imgs)
+        if n == 0:
             raise ValueError("permutation must have length >= 1")
-        if sorted(imgs) != list(range(1, len(imgs) + 1)):
-            raise ValueError(f"not a bijection of 1..{len(imgs)}: {imgs}")
+        if not (min(imgs) >= 1 and max(imgs) <= n and len(set(imgs)) == n):
+            raise ValueError(f"not a bijection of 1..{n}: {imgs}")
 
     @property
     def n(self) -> int:
@@ -101,7 +119,7 @@ class SimplexWeights:
     u: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.u)
+        vals = _entries("weights", self.u, float)
         object.__setattr__(self, "u", vals)
         if len(vals) == 0:
             raise ValueError("weights must have length >= 1")
@@ -129,14 +147,14 @@ class Shuffle:
     signs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        signs = tuple(int(s) for s in self.signs)
+        signs = _entries("signs", self.signs, int)
         object.__setattr__(self, "signs", signs)
         if not (self.perm.n == self.weights.n == len(signs)):
             raise ValueError(
                 f"length mismatch: perm {self.perm.n}, weights {self.weights.n}, "
                 f"signs {len(signs)}"
             )
-        if any(s not in (-1, 1) for s in signs):
+        if not set(signs) <= {-1, 1}:
             raise ValueError(f"signs must be +-1, got {signs}")
 
     @property
@@ -366,22 +384,11 @@ def shuffle_from_dict(data: dict) -> Shuffle:
         raise ValueError("perm, weights and signs must be arrays")
     if not len(perm) == len(weights) == len(signs):
         raise ValueError("perm, weights and signs must have equal length")
-    for v in perm:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ValueError(f"perm entries must be integers, got {v!r}")
-    w = []
-    for v in weights:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValueError(f"weight entries must be numbers, got {v!r}")
-        w.append(float(v))
-    for v in signs:
-        if isinstance(v, bool) or v not in (-1, 1):
-            raise ValueError(f"sign entries must be -1 or 1, got {v!r}")
-    total = float(np.sum(w)) if w else 0.0
+    w = _entries("weights", weights, float)
+    total = float(np.sum(w))
     if not abs(total - 1.0) <= _JSON_SUM_TOL:  # also refuses a NaN sum
         raise ValueError(f"weights sum to {total!r}, outside 1 +- {_JSON_SUM_TOL}")
-    w = [v / total for v in w]
-    return make_shuffle(perm, w, [int(v) for v in signs])
+    return make_shuffle(perm, [v / total for v in w], signs)
 
 
 def read_shuffle_json(path: str | Path) -> Shuffle:

@@ -89,8 +89,13 @@ def _seed(seed: int) -> int:
     return seed
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(_seed(seed)))
+def _sampled(samples: int, seed: int) -> tuple[int, np.random.Generator]:
+    """A sampled check's sample count, checked before its seed, and its
+    seeded generator."""
+    samples = int(samples)
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    return samples, np.random.Generator(np.random.PCG64(_seed(seed)))
 
 
 def fisher_yates(rng: np.random.Generator, n: int) -> Permutation:
@@ -164,17 +169,6 @@ def _witness(**kwargs) -> str:
 
 # --- the main inequality --------------------------------------------------
 
-def _incidence(n: int):
-    """The permutations of 1..n and the position pairs and triples, in lex
-    order, and a map from lattice rows k to a*g^2 and b*g^3 of each
-    permutation (rows) at each k (columns): integer sums over the inverted
-    pairs and cyclic-descent triples (321, 213, 132), exact below 2^53."""
-    perms = np.array(list(itertools.permutations(range(1, n + 1))))
-    inverted, cyclic = (mask.astype(float) for mask in concordance._incidence(perms))
-    pairs, triples = concordance._positions(n)
-    return perms, pairs.T, triples.T, lambda k: concordance._ab(inverted, cyclic, k)
-
-
 def _prototype_shaped(images: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Which rows (permutation images, lattice k) are prototypes up to
     representation; the rule is in ``check_main_inequality``."""
@@ -233,9 +227,10 @@ def check_main_inequality(n_max: int = 6, grid_steps: int = 10) -> VerificationR
     n_prototype_eq = n_flat_eq = n_other = n_proto_points = 0
     proto_dev = 0.0
     for n in range(2, n_max + 1):
-        perms, pairs, triples, scaled_ab = _incidence(n)
+        perms = np.array(list(itertools.permutations(range(1, n + 1))))
+        inverted, cyclic = (mask.astype(float) for mask in concordance._incidence(perms))
         for c, k in enumerate(_compositions(g, n, max(1, _SWEEP_ENTRIES // len(perms)))):
-            a_int, margins = scaled_ab(k)
+            a_int, margins = concordance._ab(inverted, cyclic, k)
             margins /= g**3  # b, until theta is subtracted
             flat = margins <= _EQUALITY_TOL
             high = 4 * a_int > g**2  # theta vanishes for a <= 1/4
@@ -255,12 +250,11 @@ def check_main_inequality(n_max: int = 6, grid_steps: int = 10) -> VerificationR
             others += [(n, i, c, j, perms[i], k[j]) for i, j in zip(p[~shaped][:5], r[~shaped][:5])]
 
             # Equality must hold at the prototype lattice points (r, ..., r, y),
-            # y <= r, of the decreasing permutation; summed as in ab_values.
-            u = k[np.all(k[:, :-1] == k[:, :1], axis=1) & (k[:, -1] <= k[:, 0])] / g
-            a = sum((u[:, i] * u[:, j] for i, j in pairs), np.zeros(len(u)))
-            b = sum((u[:, i] * u[:, j] * u[:, h] for i, j, h in triples), np.zeros(len(u)))
-            proto_dev = np.max(np.abs(b - theta(np.minimum(a, 0.5))), initial=proto_dev)
-            n_proto_points += len(u)
+            # y <= r, of the decreasing permutation, the last in lex order;
+            # their margins come from the exact a and b above.
+            proto = np.all(k[:, :-1] == k[:, :1], axis=1) & (k[:, -1] <= k[:, 0])
+            proto_dev = np.max(np.abs(margins[-1, proto]), initial=proto_dev)
+            n_proto_points += int(proto.sum())
 
     margin, n, *_, perm, k = worst
     notes = (
@@ -466,10 +460,7 @@ def check_perturbation_identities(samples: int, seed: int) -> VerificationReport
     direction, then compares both polynomial identities at t in
     {1/2, -1/2, 1/7, -1/7} and one random t, at 1e-12 relative tolerance.
     """
-    samples = int(samples)
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    rng = _rng(seed)
+    samples, rng = _sampled(samples, seed)
     worst = math.inf
     worst_info: dict = {}
     for _ in range(samples):
@@ -517,10 +508,7 @@ def check_perturbation_identities(samples: int, seed: int) -> VerificationReport
 
 def check_triangle_inequality(samples: int, seed: int) -> VerificationReport:
     """c[p,r] + c[q,r] >= c[p,q] >= 0 whenever {p,q,r} is not a descent triple."""
-    samples = int(samples)
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    rng = _rng(seed)
+    samples, rng = _sampled(samples, seed)
     worst = math.inf
     worst_info: dict = {}
     qualifying = 0
@@ -574,10 +562,7 @@ def check_delta_construction(samples: int, seed: int) -> VerificationReport:
     the first pattern found supplies the support of delta; permutations
     containing neither are counted as skipped.
     """
-    samples = int(samples)
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    rng = _rng(seed)
+    samples, rng = _sampled(samples, seed)
     worst = math.inf
     worst_info: dict = {}
     tested = 0
@@ -644,14 +629,21 @@ def check_delta_construction(samples: int, seed: int) -> VerificationReport:
 
 # --- almost-decreasing classification -------------------------------------
 
-def _at_most_one_ascent(perm: Permutation) -> bool:
-    return perm.ascents() <= 1
+def _contains(perms: np.ndarray, pattern: tuple[int, ...]) -> np.ndarray:
+    """Which rows of a permutation stack (m, l) contain ``pattern``: some
+    k-subset of positions whose images, read in the pattern's value order,
+    increase."""
+    k = len(pattern)
+    subsets = np.array(list(itertools.combinations(range(perms.shape[1]), k)), dtype=np.intp)
+    vals = perms[:, subsets.reshape(-1, k)[:, np.argsort(pattern)]]
+    return np.all(vals[..., 1:] > vals[..., :-1], axis=2).any(axis=1)
 
 
 def check_almost_decreasing_classification(l_max: int) -> VerificationReport:
     """Avoiding both patterns 123 and 3412 is the same as being almost
     decreasing up to inversion (the permutation or its inverse has at
-    most one ascent).  Exhaustive over all permutations of length <= l_max."""
+    most one ascent).  Exhaustive over all permutations of length <= l_max,
+    each length decided for all its permutations at once."""
     l_max = int(l_max)
     if not 1 <= l_max <= 8:
         raise ValueError(f"l_max must be in [1, 8], got {l_max}")
@@ -659,18 +651,20 @@ def check_almost_decreasing_classification(l_max: int) -> VerificationReport:
     mismatches = 0
     first_bad: dict | None = None
     for l in range(1, l_max + 1):
-        for images in itertools.permutations(range(1, l + 1)):
-            perm = Permutation(images)
-            cond_a = (
-                find_pattern(perm, (1, 2, 3)) is None
-                and find_pattern(perm, (3, 4, 1, 2)) is None
-            )
-            cond_b = _at_most_one_ascent(perm) or _at_most_one_ascent(perm.inverse())
-            instances += 1
-            if cond_a != cond_b:
-                mismatches += 1
-                if first_bad is None:
-                    first_bad = {"perm": list(images), "condition_a": cond_a, "condition_b": cond_b}
+        perms = np.array(list(itertools.permutations(range(1, l + 1))), dtype=np.int8)
+        cond_a = ~(_contains(perms, (1, 2, 3)) | _contains(perms, (3, 4, 1, 2)))
+        cond_b = (np.diff(perms, axis=1) > 0).sum(axis=1) <= 1
+        cond_b |= (np.diff(np.argsort(perms, axis=1), axis=1) > 0).sum(axis=1) <= 1
+        bad = np.flatnonzero(cond_a != cond_b)
+        instances += len(perms)
+        mismatches += len(bad)
+        if first_bad is None and len(bad):
+            i = bad[0]
+            first_bad = {
+                "perm": perms[i].tolist(),
+                "condition_a": bool(cond_a[i]),
+                "condition_b": bool(cond_b[i]),
+            }
     witness = first_bad if first_bad is not None else {"l_max": l_max, "mismatches": 0}
     return VerificationReport(
         check_name="almost_decreasing_classification",
@@ -694,10 +688,7 @@ def check_swap_descent(samples: int, seed: int) -> VerificationReport:
     swap argument needs (pi(1) != n, pi(n) != 1, pi(k+1) = n for
     k = position of 1).
     """
-    samples = int(samples)
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    rng = _rng(seed)
+    samples, rng = _sampled(samples, seed)
     worst = math.inf
     worst_info: dict = {}
     min_decrease = math.inf

@@ -76,6 +76,14 @@ class TestEval:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    def test_string_weight_is_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "string.json"
+        bad.write_text('{"perm": [1, 2], "weights": ["0.5", 0.5], "signs": [1, 1]}')
+        assert run(["eval", "--shuffle", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: weights entries must be real numbers, got '0.5'\n"
+
     def test_unparseable_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("not json at all")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -81,6 +82,28 @@ class TestValidation:
     def test_signs_default_to_straight(self):
         sh = make_shuffle((2, 1), (0.5, 0.5))
         assert sh.signs == (1, 1)
+
+    @pytest.mark.parametrize(
+        "build,shown",
+        [
+            (lambda: Permutation((1.5, 2)), "perm entries must be integers, got 1.5"),
+            (lambda: make_shuffle((True, 2), (0.5, 0.5)), "perm entries must be integers, got True"),
+            (lambda: make_shuffle((1, 2), (0.5, 0.5), (1.0, -1.9)), "signs entries must be integers, got 1.0"),
+            (lambda: SimplexWeights(("0.5", "0.5")), "weights entries must be real numbers, got '0.5'"),
+            (lambda: make_shuffle((1, 2), (0.5, 0.5), (np.True_, 1)), "signs entries must be integers"),
+            (lambda: SimplexWeights((None, 1.0)), "weights entries must be real numbers, got None"),
+        ],
+    )
+    def test_entries_are_not_coerced(self, build, shown):
+        with pytest.raises(ValueError, match=re.escape(shown)):
+            build()
+
+    def test_numpy_scalars_are_accepted(self):
+        sh = make_shuffle(np.array([2, 1]), np.array([0.25, 0.75]), np.array([1, -1], dtype=np.int8))
+        assert sh == make_shuffle((2, 1), (0.25, 0.75), (1, -1))
+        assert {type(v) for v in sh.perm.images + sh.signs} == {int}
+        assert {type(v) for v in sh.weights.u} == {float}
+        assert SimplexWeights((1, 0)).u == (1.0, 0.0)
 
 
 def test_breakpoints_reference(four_segment):
@@ -278,6 +301,10 @@ class TestSerialization:
             {"perm": [2, 1], "weights": [0.5, True], "signs": [1, 1]},
             {"perm": [1, 2], "weights": [math.nan, 0.5], "signs": [1, 1]},
             {"perm": 3, "weights": [0.5, 0.5], "signs": [1, 1]},
+            {"perm": [1.5, 2], "weights": [0.5, 0.5], "signs": [1, 1]},
+            {"perm": [1, 2], "weights": [0.5, 0.5], "signs": [1.0, -1.9]},
+            {"perm": [1, 2], "weights": ["0.5", "0.5"], "signs": [1, 1]},
+            {"perm": [1, 2], "weights": [0.5, 0.5], "signs": [True, 1]},
         ],
     )
     def test_rejects_malformed(self, payload):

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from taurho import verify
+from taurho import concordance, verify
 from taurho import (
     Permutation,
     VerificationReport,
@@ -208,9 +208,10 @@ class TestMainInequality:
         evaluated exactly in fractions."""
         g = 6
         for n in range(2, 6):
-            perms, _, _, scaled_ab = verify._incidence(n)
+            perms = np.array(list(itertools.permutations(range(1, n + 1))))
+            inverted, cyclic = (mask.astype(float) for mask in concordance._incidence(perms))
             (k,) = verify._compositions(g, n, 10**6)
-            a_int, b_int = scaled_ab(k)
+            a_int, b_int = concordance._ab(inverted, cyclic, k)
             assert a_int.shape == b_int.shape == (math.factorial(n), math.comb(g + n - 1, n - 1))
             u = np.array([[Fraction(int(v), g) for v in kk] for kk in k], dtype=object)
             pairs = list(itertools.combinations(range(1, n + 1), 2))
@@ -522,6 +523,8 @@ class TestSampledChecks:
                 check(0, 0)
             with pytest.raises(ValueError, match=r"got -3$"):
                 check(-3, 0)
+            with pytest.raises(ValueError, match=r"^samples must be >= 1, got 0$"):
+                check(0, -1)  # the sample count is checked before the seed
 
     def test_negative_seed_is_named(self):
         for check in (
@@ -594,3 +597,57 @@ def test_almost_decreasing_exhaustive_small():
         check_almost_decreasing_classification(0)
     with pytest.raises(ValueError):
         check_almost_decreasing_classification(9)
+
+
+def _classification_loop(l_max):
+    """The per-permutation classification, kept as the reference for the
+    stack version: its reports for every l_max <= the given one."""
+    instances = mismatches = 0
+    first_bad = None
+    reports = []
+    for l in range(1, l_max + 1):
+        for images in itertools.permutations(range(1, l + 1)):
+            perm = Permutation(images)
+            cond_a = find_pattern(perm, (1, 2, 3)) is None and find_pattern(perm, (3, 4, 1, 2)) is None
+            cond_b = perm.ascents() <= 1 or perm.inverse().ascents() <= 1
+            instances += 1
+            if cond_a != cond_b:
+                mismatches += 1
+                if first_bad is None:
+                    first_bad = {"perm": list(images), "condition_a": cond_a, "condition_b": cond_b}
+        witness = first_bad if first_bad is not None else {"l_max": l, "mismatches": 0}
+        reports.append(VerificationReport(
+            check_name="almost_decreasing_classification",
+            instances_tested=instances,
+            worst_margin=-float(mismatches),
+            worst_witness=json.dumps(witness, sort_keys=True),
+            passed=mismatches == 0,
+            notes=f"exhaustive over {instances} permutations up to length {l}",
+        ))
+    return reports
+
+
+def test_classification_matches_the_loop():
+    reference = _classification_loop(8)
+    for l_max, want in enumerate(reference, start=1):
+        assert check_almost_decreasing_classification(l_max) == want
+
+
+def test_classification_reports_a_mismatch(monkeypatch):
+    """With 3412 dropped from condition (a), 3412 itself is the first
+    permutation the two conditions disagree on."""
+    contains = verify._contains
+    monkeypatch.setattr(
+        verify, "_contains", lambda perms, pattern: contains(perms, pattern) & (len(pattern) == 3)
+    )
+    r = check_almost_decreasing_classification(4)
+    assert not r.passed and r.worst_margin < 0
+    assert json.loads(r.worst_witness)["perm"] == [3, 4, 1, 2]
+
+
+@pytest.mark.parametrize("pattern", [(1, 2, 3), (3, 4, 1, 2), (2, 3, 1)])
+def test_stack_masks_match_find_pattern(pattern):
+    for l in range(1, 8):
+        perms = np.array(list(itertools.permutations(range(1, l + 1))), dtype=np.int8)
+        want = [find_pattern(Permutation(tuple(p)), pattern) is not None for p in perms.tolist()]
+        assert verify._contains(perms, pattern).tolist() == want
