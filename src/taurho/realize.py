@@ -6,17 +6,18 @@ points are reached by sliding along the boundary curve gamma(t) and
 pulling toward (1, 1) with an ordinal sum: tau scales as 1-(1-s)^2(1-tau)
 and rho as 1-(1-s)^3(1-rho), so for a fixed curve point the parameter s
 is determined by the tau coordinate alone and the remaining rho residual
-is a one-dimensional root-finding problem in t.  The scan works entirely
-on closed forms (no shuffles are built until the root is found).
+is a one-dimensional root-finding problem in t.  The search works
+entirely on closed forms (no shuffles are built until the root is found).
 
 Only the lower half is searched.  The ordinal sums of the flip, gamma(0),
 trace the flip curve F(x) = 1 - 2((1-x)/2)^1.5; a target above F is
 mirrored to (-x, -y), which lies on or below F, and the assembly for it
-is flipped.  For a target (x, y) on or below F the residual is >= 0 at
-t = 0 and <= 0 at t = (1+x)/4 (the boundary point at x), so one scan
-brackets a root; a boundary target takes the root t = (1+x)/4 without a
-scan.  From the root's curve tau v, the base under the ordinal sum is,
-in order:
+is flipped.  For a target (x, y) on or below F the residual
+g(t) = 1 - (1-x)^1.5 h(4t-1) - y, where h(tau) = (1 - Phi(tau))/(1-tau)^1.5
+strictly increases on [-1, 1), is >= 0 at t = 0 and <= 0 at t = (1+x)/4
+(the boundary point at x); so one bisection finds g's only root, and a
+boundary target takes t = (1+x)/4 without one.  From the root's curve
+tau v, the base under the ordinal sum is, in order:
 
 1. the prototype at v, if it has at most PROTOTYPE_N_CAP pieces;
 2. else the two-piece near-flip wedge solved exactly for the target;
@@ -34,13 +35,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .concordance import tau_rho
 from .region import phi_boundary, segment_index
 from .shuffles import (
     RegionPoint,
     Shuffle,
+    _entries,
     flip,
     flip_shuffle,
     identity_shuffle,
@@ -69,7 +69,6 @@ _CAP_TAU = -1.0 + 2.0 / PROTOTYPE_N_CAP
 # that tau the same-tau wedge is closer to the boundary than 3.4e-7.
 _SLIVER_TAU = -1.0 + 2.0 / 2**15
 _CURVE_N_GUARD = 10_000_000
-_SCAN_POINTS = 4096
 _BISECT_TOL = 1e-13
 
 
@@ -85,12 +84,12 @@ class Prototype:
     r: float
 
     def __post_init__(self) -> None:
-        n = int(self.n)
-        r = float(self.r)
+        (n,) = _entries("prototype n", (self.n,), int)
+        (r,) = _entries("prototype r", (self.r,), float)
         if n < 2:
             raise ValueError(f"prototype needs n >= 2, got {n}")
         lo, hi = 1.0 / n, 1.0 / (n - 1)
-        if r < lo - 1e-9 or r > hi + 1e-9:
+        if not lo - 1e-9 <= r <= hi + 1e-9:
             raise ValueError(f"prototype r={r!r} outside [{lo!r}, {hi!r}]")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "r", min(hi, max(lo, r)))
@@ -201,42 +200,26 @@ def _rho_scaled(x: float, tau_c, rho_c):
     return 1.0 - ratio**1.5 * (1.0 - rho_c)
 
 
-def _g_lower(x: float, y: float, t):
-    tau_c = 4.0 * np.asarray(t, dtype=float) - 1.0
-    rho_c = phi_boundary(tau_c)
-    return _rho_scaled(x, tau_c, rho_c) - y
-
-
-def _rightmost_bracket(g, lo: float, hi: float):
-    """Scan [lo, hi] and return the bracketing cell closest to hi, or None."""
-    ts = np.linspace(lo, hi, _SCAN_POINTS + 1)
-    gs = np.asarray(g(ts))
-    sign_change = gs[:-1] * gs[1:] <= 0.0
-    idx = np.nonzero(sign_change)[0]
-    if len(idx) == 0:
-        return None
-    i = int(idx[-1])
-    return float(ts[i]), float(ts[i + 1])
+def _g_lower(x: float, y: float, t: float) -> float:
+    tau_c = 4.0 * t - 1.0
+    return _rho_scaled(x, tau_c, phi_boundary(tau_c)) - y
 
 
 def _bisect(g, a: float, b: float) -> float:
-    ga = float(g(a))
-    gb = float(g(b))
+    ga = g(a)
     if ga == 0.0:
         return a
-    if gb == 0.0:
+    if g(b) == 0.0:
         return b
-    for _ in range(200):
+    while b - a > _BISECT_TOL:
         m = (a + b) / 2.0
-        if b - a <= _BISECT_TOL:
-            return m
-        gm = float(g(m))
+        gm = g(m)
         if gm == 0.0:
             return m
         if (ga < 0.0) == (gm < 0.0):
             a, ga = m, gm
         else:
-            b, gb = m, gm
+            b = m
     return (a + b) / 2.0
 
 
@@ -274,18 +257,13 @@ def _lower_half(
     """(shuffle, s, v, t) for a target with lower <= y <= F(x) and
     |x| < 1: the ordinal sum over the base point of tau v at curve
     parameter t.  A boundary target has v = x; any other is solved for
-    the rightmost root t of ``_g_lower`` on [0, (1+x)/4]."""
+    the root t of ``_g_lower``, strictly decreasing on [0, (1+x)/4].  g(0)
+    runs the float operations of ``realize``'s flip-curve test, so it is
+    >= 0, and a target on F gets t = 0."""
     if y - lower <= 1e-12:
         v, t = x, (1.0 + x) / 4.0
     else:
-        def g(t):
-            return _g_lower(x, y, t)
-
-        bracket = _rightmost_bracket(g, 0.0, (1.0 + x) / 4.0)
-        # g(0) = F(x) - y >= 0 and g((1+x)/4) < 0, so a scan without a sign
-        # change has only lost the sign of g(0) to rounding: y is within an
-        # ulp of F and the root is 0.
-        t = 0.0 if bracket is None else _bisect(g, *bracket)
+        t = _bisect(lambda t: _g_lower(x, y, t), 0.0, (1.0 + x) / 4.0)
         v = 4.0 * t - 1.0
     if v >= _CAP_TAU:
         base = prototype_shuffle(prototype_for_tau(v))

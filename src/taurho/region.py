@@ -24,12 +24,12 @@ input (a float, a numpy scalar or a 0-d array) is converted with
 ``float`` and evaluated with ``math`` on Python floats and ints, and
 gives a float; ``realize``'s bisection, ``contains`` and per-sample
 ``theta`` calls take this path.  An array goes through numpy
-elementwise, for the scans, the quadrature and the main-inequality
-sweep.  Both paths run the same operations in the same order.  The
-scalar path gives the bits numpy gives on a 0-d input, since both reach
-libm ``pow``; numpy's ``power`` runs SIMD code on arrays, so the array
-path can differ from the scalar one by 1 ulp (on about 0.03% of uniform
-inputs on an AVX-512 machine).
+elementwise, for ``boundary_samples``, the quadrature and the
+main-inequality sweep.  Both paths run the same operations in the same
+order.  The scalar path gives the bits numpy gives on a 0-d input, since
+both reach libm ``pow``; numpy's ``power`` runs SIMD code on arrays, so
+the array path can differ from the scalar one by 1 ulp (on about 0.03%
+of uniform inputs on an AVX-512 machine).
 """
 
 from __future__ import annotations
@@ -303,7 +303,7 @@ def area_quadrature(tol: float) -> float:
     tolerance budget (half to the slivers, half to the quadrature).
     """
     tol = float(tol)
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"area_quadrature: tol must be > 0, got {tol!r}")
     if tol < 1e-13:
         raise ValueError("area_quadrature: tol below 1e-13 exceeds float64 resolution")
@@ -326,7 +326,7 @@ def _classical_width(x: np.ndarray) -> np.ndarray:
 def classical_area_quadrature(tol: float) -> float:
     """Area of the classical region (exactly 7/6) by the same machinery."""
     tol = float(tol)
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"classical_area_quadrature: tol must be > 0, got {tol!r}")
     edges = np.array([-1.0, 0.0, 1.0])
     return _adaptive_quadrature(_classical_width, edges, tol)

@@ -225,7 +225,7 @@ def evaluate(shuffle: Shuffle, x):
     Raises ValueError when any input lies outside [0, 1].
     """
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise ValueError("evaluate: argument outside [0, 1]")
     s, t = breakpoints(shuffle)
     u = shuffle.weights.as_array()

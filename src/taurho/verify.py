@@ -24,6 +24,7 @@ import numpy as np
 
 from . import concordance
 from .concordance import ab_values
+from .realize import prototype_for_tau
 from .region import theta
 from .shuffles import Permutation, Shuffle, make_shuffle
 
@@ -371,8 +372,6 @@ def check_minimizer_structure(n: int, levels: int = 4) -> VerificationReport:
     r, y, 0, ..., 0) with y <= r, and that its value agrees with
     theta(c2).
     """
-    from .realize import prototype_for_tau  # local import avoids a cycle
-
     n = int(n)
     levels = int(levels)
     if n not in (3, 4):

@@ -153,6 +153,10 @@ class TestArea:
         assert set(payload) == {"closed_form", "quadrature", "difference"}
         assert abs(payload["difference"]) < 1e-6
 
+    def test_nan_tol_is_exit_2(self, capsys):
+        assert run(["area", "--tol", "nan"]) == 2
+        assert "tol must be > 0, got nan" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_single_check(self, capsys):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 
 from taurho import (
@@ -19,6 +20,8 @@ from taurho import (
     realize,
     tau_rho,
 )
+from taurho import region
+from taurho.realize import _prototype_point
 
 
 class TestPrototype:
@@ -57,6 +60,19 @@ class TestPrototype:
             Prototype(3, 0.6)  # r beyond 1/(n-1)
         with pytest.raises(ValueError):
             Prototype(3, 0.2)  # r below 1/n
+        with pytest.raises(ValueError, match="prototype n .*3.9"):
+            Prototype(3.9, 0.4)
+        with pytest.raises(ValueError, match="prototype n .*True"):
+            Prototype(True, 0.5)
+        with pytest.raises(ValueError, match="prototype r=nan"):
+            Prototype(3, math.nan)
+        with pytest.raises(ValueError, match="prototype r=inf"):
+            Prototype(3, math.inf)
+
+    def test_numpy_integers_are_accepted(self):
+        proto = Prototype(np.int64(3), np.float64(0.4))
+        assert (proto.n, proto.r) == (3, 0.4)
+        assert type(proto.n) is int and type(proto.r) is float
 
     def test_lies_on_lower_boundary(self):
         rng = np.random.default_rng(4)
@@ -250,9 +266,10 @@ class TestRealize:
 
     def test_scan_that_loses_the_sign_at_the_flip_end(self):
         """On the flip curve the residual at t = 0 is zero in exact
-        arithmetic.  Here numpy's SIMD power (AVX-512) makes it -2.2e-16 in
-        the scan, which then sees no sign change; the root is t = 0 either
-        way."""
+        arithmetic, but numpy's SIMD power (AVX-512) rounds it to -2.2e-16
+        on arrays.  The scalar residual runs the float operations of the
+        flip-curve test, so it is exactly 0 at t = 0, and the bisection
+        returns the root t = 0."""
         x = -0.6647876036897746
         sh, h = realize((x, _flip_curve(x)))
         assert (h.s, h.t) == (pytest.approx(0.0876438185418551, abs=1e-12), 0.0)
@@ -339,3 +356,61 @@ class TestRealize:
             assert math.hypot(pt.tau - x, pt.rho - y) == pytest.approx(
                 h.residual, abs=1e-12
             )
+
+
+class TestResidualIsMonotone:
+    """The lower-half residual g(t) = 1 - (1-x)^1.5 h(4t-1) - y, with
+    h(tau) = (1 - Phi(tau))/(1 - tau)^1.5, strictly decreases in t because
+    h strictly increases on [-1, 1); so one bisection finds its only root."""
+
+    def test_h_increases_on_every_segment(self):
+        """On segment n the boundary is the prototype point (tau(r), rho(r))
+        for r in (1/n, 1/(n-1)]; dh/dr factors as below, every factor is
+        positive there (at n = 2 the point r = 1 is tau = 1), and
+        dtau/dr = 4(n-1)(nr-1) is positive too."""
+        n, r = sp.symbols("n r", positive=True)
+        tau, rho = (sp.nsimplify(e, rational=True) for e in _prototype_point(n, r))
+        h = (1 - rho) / (1 - tau) ** sp.Rational(3, 2)
+        dh = (
+            3 * sp.sqrt(2) * ((n - 1) * (2 - n * r)) ** sp.Rational(3, 2)
+            * (1 - r) * (n * r - 1)
+            / (2 * r ** sp.Rational(3, 2) * (n - 1) ** 2 * (n * r - 2) ** 4)
+        )
+        assert sp.simplify(sp.diff(h, r) / dh) == 1
+        assert sp.expand(sp.diff(tau, r) - 4 * (n - 1) * (n * r - 1)) == 0
+        # r = (1 + 1/((k+1)(n-1)))/n runs over (1/n, 1/(n-1)] as k runs over
+        # [0, oo); at n = 2, k > 0 keeps r < 1.
+        p, k = sp.symbols("p k", nonnegative=True)
+        k2 = sp.Symbol("k2", positive=True)
+        for sub in (
+            {n: p + 3, r: (1 + 1 / ((k + 1) * (p + 2))) / (p + 3)},
+            {n: 2, r: (1 + 1 / (k2 + 1)) / 2},
+        ):
+            for factor in (n - 1, r, 1 - r, n * r - 1, 2 - n * r):
+                assert sp.factor(factor.subs(sub)).is_positive, (factor, sub)
+
+    def test_h_never_decreases_in_floats(self):
+        """h on about 10^6 taus: a uniform grid of [-1, 1) and a log grid of
+        1 + tau down to 1e-15, where the segments crowd together."""
+        taus = np.unique(
+            np.concatenate(
+                [
+                    np.linspace(-1.0, 1.0, 2**19 + 1)[:-1],
+                    -1.0 + np.logspace(-15.0, 0.0, 2**19, endpoint=False),
+                ]
+            )
+        )
+        h = (1.0 - phi_boundary(taus)) / (1.0 - taus) ** 1.5
+        assert len(taus) > 900_000
+        assert np.all(np.diff(h) >= 0.0)
+
+    def test_realize_evaluates_the_boundary_on_floats(self, monkeypatch):
+        """The search runs on the scalar path of phi_boundary only."""
+
+        def array_path(x):
+            raise AssertionError("phi_boundary evaluated on an array")
+
+        monkeypatch.setattr(region, "_phi", array_path)
+        for target in [frozen[0] for frozen in FROZEN_TARGETS] + SLIVER_TARGETS:
+            _, h = realize(target)
+            assert h.residual <= 1e-6

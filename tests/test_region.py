@@ -496,6 +496,10 @@ class TestArea:
             area_quadrature(-1e-8)
         with pytest.raises(ValueError):
             area_quadrature(1e-14)
+        with pytest.raises(ValueError, match="tol must be > 0, got nan"):
+            area_quadrature(math.nan)
+        with pytest.raises(ValueError, match="tol must be > 0, got nan"):
+            classical_area_quadrature(math.nan)
 
     def test_classical_area_is_seven_sixths(self):
         assert classical_area_quadrature(1e-10) == pytest.approx(7 / 6, abs=1e-10)

@@ -132,6 +132,10 @@ def test_evaluate_domain():
         evaluate(identity_shuffle(), -0.1)
     with pytest.raises(ValueError):
         evaluate(identity_shuffle(), np.array([0.2, 1.3]))
+    with pytest.raises(ValueError):
+        evaluate(identity_shuffle(), math.nan)
+    with pytest.raises(ValueError):
+        evaluate(identity_shuffle(), np.array([0.2, math.nan, 0.7]))
 
 
 def test_identity_and_flip_maps():
