@@ -150,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="RNG seed for sampled checks")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("area", help="closed-form region area vs adaptive quadrature")
+    p = sub.add_parser("area", help="closed-form region area vs segment-wise quadrature")
     p.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance")
     p.set_defaults(func=_cmd_area)
 

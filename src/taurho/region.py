@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .shuffles import RegionPoint
 
@@ -201,16 +200,23 @@ def contains(p) -> bool:
     return _phi_scalar(t) - _MEMBERSHIP_TOL <= r <= -_phi_scalar(-t) + _MEMBERSHIP_TOL
 
 
+def _classical_bounds(t):
+    """The classical lower/upper rho bounds at tau = t, on floats or arrays:
+    Daniels' band |3t - 2rho| <= 1 intersected with the Durbin-Stuart
+    envelope (1+t)^2/2 - 1 <= rho <= 1 - (1-t)^2/2."""
+    lower = np.maximum((3.0 * t - 1.0) / 2.0, (1.0 + t) ** 2 / 2.0 - 1.0)
+    upper = np.minimum((3.0 * t + 1.0) / 2.0, 1.0 - (1.0 - t) ** 2 / 2.0)
+    return lower, upper
+
+
 def classical_rho_bounds(tau: float) -> tuple[float, float]:
-    """The classical lower/upper rho bounds at a given tau.
+    """The classical lower/upper rho bounds at a given tau, as floats.
 
     Combines the linear band |3*tau - 2*rho| <= 1 with the quadratic
     envelope (1+tau)^2/2 - 1 <= rho <= 1 - (1-tau)^2/2.
     """
-    t = float(tau)
-    lower = max((3.0 * t - 1.0) / 2.0, (1.0 + t) ** 2 / 2.0 - 1.0)
-    upper = min((3.0 * t + 1.0) / 2.0, 1.0 - (1.0 - t) ** 2 / 2.0)
-    return lower, upper
+    lower, upper = _classical_bounds(float(tau))
+    return float(lower), float(upper)
 
 
 def classical_contains(p) -> bool:
@@ -236,97 +242,64 @@ def area_closed_form() -> float:
     return 4.0 / 5.0 - (4.0 / 5.0) * APERY + (2.0 / 15.0) * math.pi**2
 
 
-_GL_HI = leggauss(15)
-_GL_LO = leggauss(7)
+# Nodes and weights of the 3-node Gauss-Legendre rule on [0, 1]; the
+# weights carry the factor 2s of dx = 2h s ds.
+_NODES = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
+_WEIGHTS = np.array([5.0 / 18.0, 4.0 / 9.0, 5.0 / 18.0]) * 2.0 * _NODES
 
 
-def _panel_estimates(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mid = (a + b) / 2.0
-    half = (b - a) / 2.0
-    xn_hi, wn_hi = _GL_HI
-    xn_lo, wn_lo = _GL_LO
-    xs_hi = mid[:, None] + half[:, None] * xn_hi[None, :]
-    xs_lo = mid[:, None] + half[:, None] * xn_lo[None, :]
-    f_hi = f(xs_hi.ravel()).reshape(xs_hi.shape)
-    f_lo = f(xs_lo.ravel()).reshape(xs_lo.shape)
-    hi = half * (f_hi @ wn_hi)
-    lo = half * (f_lo @ wn_lo)
-    return hi, np.abs(hi - lo)
-
-
-def _adaptive_quadrature(f, edges: np.ndarray, target: float, max_rounds: int = 60) -> float:
-    """Adaptive Gauss quadrature over fixed initial panels.
-
-    Each round bisects exactly the panels whose error estimate exceeds
-    their width-proportional share of the target, so the loop makes
-    progress whenever the total error is still too large; summation order
-    is always left-to-right, keeping results deterministic.
-    """
-    a = np.asarray(edges[:-1], dtype=float)
-    b = np.asarray(edges[1:], dtype=float)
-    vals, errs = _panel_estimates(f, a, b)
-    width = float(b[-1] - a[0])
-    for _ in range(max_rounds):
-        if float(errs.sum()) <= target:
-            order = np.argsort(a, kind="stable")
-            return float(vals[order].sum())
-        share = target * (b - a) / width
-        split = errs > share
-        keep_a, keep_b = a[~split], b[~split]
-        keep_v, keep_e = vals[~split], errs[~split]
-        sa, sb = a[split], b[split]
-        sm = (sa + sb) / 2.0
-        new_a = np.concatenate([sa, sm])
-        new_b = np.concatenate([sm, sb])
-        new_v, new_e = _panel_estimates(f, new_a, new_b)
-        a = np.concatenate([keep_a, new_a])
-        b = np.concatenate([keep_b, new_b])
-        vals = np.concatenate([keep_v, new_v])
-        errs = np.concatenate([keep_e, new_e])
-    raise RuntimeError(
-        f"adaptive quadrature did not reach target {target!r} "
-        f"(residual error {float(errs.sum())!r} over {len(a)} panels)"
-    )
-
-
-def _region_width(x: np.ndarray) -> np.ndarray:
-    return -phi_boundary(-x) - phi_boundary(x)
+def _panel_sum(f, a: np.ndarray, h: np.ndarray) -> float:
+    """Sum over the panels [a, a + h] of the integral of f, each taken as
+    the integral over s in [0, 1] of f(a + h s^2) 2h s by the 3-node
+    Gauss-Legendre rule, which is exact when f(a + h s^2) s is a
+    polynomial in s of degree at most 5."""
+    x = a[:, None] + h[:, None] * _NODES**2
+    return float(np.sum(h * (f(x) @ _WEIGHTS)))
 
 
 def area_quadrature(tol: float) -> float:
-    """Area of the region by adaptive quadrature of the slice widths.
+    """Area of the region by exact quadrature of the boundary segments.
 
-    Integrates -Phi(-x) - Phi(x) with panel edges forced at every
-    boundary-segment junction up to a cutoff N near the corners, where
-    junctions accumulate; the two leftover corner slivers contribute
-    3/N^2 each up to an O(1/N^3) remainder that is absorbed into the
-    tolerance budget (half to the slivers, half to the quadrature).
+    The upper boundary is -Phi(-x), so the area is -2 times the integral
+    of Phi over [-1, 1].  On segment n, Phi is a line minus
+    c_n (n(1+x) - 2)^1.5; from its left end a = -1 + 2/n, x = a + h s^2
+    (h the segment's width) makes n(1+x) - 2 = n h s^2, so ``_panel_sum``
+    integrates segments 2, ..., N exactly (segment 2 is [0, 1]).
+
+    On the corner [-1, -1 + 2/N] Phi is replaced by the Durbin-Stuart
+    parabola (1+x)^2/2 - 1, whose integral there is -2/N + 4/(3N^3).  Phi
+    lies on or above it, and both increase, so on segment k > N the gap
+    is at most Phi(-1 + 2/(k-1)) - ((1 + (-1 + 2/k))^2/2 - 1) =
+    2/(k-1)^2 - 2/k^2, over a width of 2/(k(k-1)).  That product,
+    4(2k - 1)/(k^3 (k-1)^3), falls short of 2/(k-1)^4 - 2/k^4 by
+    (4k - 2)/(k^4 (k-1)^4), so the gaps sum to at most 2/N^4, and the
+    area's error lies in [0, 4/N^4].  With N = ceil((12/tol)^(1/4)) that
+    is at most tol/3, leaving the rest of tol to rounding; tol = 1e-12
+    gives N = 1,862.
     """
     tol = float(tol)
     if not tol > 0.0:
         raise ValueError(f"area_quadrature: tol must be > 0, got {tol!r}")
     if tol < 1e-13:
         raise ValueError("area_quadrature: tol below 1e-13 exceeds float64 resolution")
-    n_cut = int(min(1_000_000, max(64, math.ceil((16.0 / tol) ** (1.0 / 3.0)))))
-    ns = np.arange(2, n_cut + 1, dtype=float)
-    left = -1.0 + 2.0 / ns[::-1]
-    right = 1.0 - 2.0 / ns
-    edges = np.unique(np.concatenate([left, right]))
-    body = _adaptive_quadrature(_region_width, edges, tol / 2.0)
-    slivers = 6.0 / n_cut**2
-    return body + slivers
+    n_cut = math.ceil((12.0 / tol) ** 0.25)
+    edges = -1.0 + 2.0 / np.arange(1.0, n_cut + 1.0)  # 1, 0, ..., -1 + 2/N
+    corner = -2.0 / n_cut + 4.0 / (3.0 * n_cut**3)
+    return -2.0 * (_panel_sum(phi_boundary, edges[1:], edges[:-1] - edges[1:]) + corner)
 
 
 def _classical_width(x: np.ndarray) -> np.ndarray:
-    lower = np.maximum((3.0 * x - 1.0) / 2.0, (1.0 + x) ** 2 / 2.0 - 1.0)
-    upper = np.minimum((3.0 * x + 1.0) / 2.0, 1.0 - (1.0 - x) ** 2 / 2.0)
-    return np.maximum(upper - lower, 0.0)
+    lower, upper = _classical_bounds(x)
+    return upper - lower
 
 
 def classical_area_quadrature(tol: float) -> float:
-    """Area of the classical region (exactly 7/6) by the same machinery."""
+    """Area of the classical region (exactly 7/6) by the same rule.
+
+    The width is quadratic on [-1, 0] and on [0, 1], so one panel each
+    integrates it exactly; tol is only validated.
+    """
     tol = float(tol)
     if not tol > 0.0:
         raise ValueError(f"classical_area_quadrature: tol must be > 0, got {tol!r}")
-    edges = np.array([-1.0, 0.0, 1.0])
-    return _adaptive_quadrature(_classical_width, edges, tol)
+    return _panel_sum(_classical_width, np.array([-1.0, 0.0]), np.array([1.0, 1.0]))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -73,14 +73,7 @@ class VerificationReport:
         object.__setattr__(self, "passed", bool(self.passed))
 
     def as_dict(self) -> dict:
-        return {
-            "check_name": self.check_name,
-            "instances_tested": self.instances_tested,
-            "worst_margin": self.worst_margin,
-            "worst_witness": self.worst_witness,
-            "passed": self.passed,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def _seed(seed: int) -> int:
@@ -236,7 +229,7 @@ def check_main_inequality(n_max: int = 6, grid_steps: int = 10) -> VerificationR
             flat = margins <= _EQUALITY_TOL
             high = 4 * a_int > g**2  # theta vanishes for a <= 1/4
             values, inverse = np.unique(a_int[high], return_inverse=True)
-            margins[high] -= theta(np.minimum(values / g**2, 0.5))[inverse]
+            margins[high] -= theta(values / g**2)[inverse]
 
             p, r = np.unravel_index(int(np.argmin(margins)), margins.shape)
             worst = min(worst, (float(margins[p, r]), n, int(p), c, int(r), perms[p], k[r]))
@@ -420,7 +413,7 @@ def check_minimizer_structure(n: int, levels: int = 4) -> VerificationReport:
         m = int((v > _SHAPE_TOL).sum())
         spread = float(v[0] - v[m - 2]) if m >= 2 else 0.0
         tail = float(v[m:].max()) if m < n else 0.0
-        theta_dev = abs(best_val - theta(min(c2, 0.5)))
+        theta_dev = abs(best_val - theta(c2))
         deviation = max(spread, tail, theta_dev)
         if not converged:
             deviation = math.inf
@@ -432,7 +425,7 @@ def check_minimizer_structure(n: int, levels: int = 4) -> VerificationReport:
                 "c2": c2,
                 "minimizer": [float(x) for x in best_u],
                 "e3": best_val,
-                "theta": theta(min(c2, 0.5)),
+                "theta": theta(c2),
             }
         notes_parts.append(f"c2={c2:.6g}: spread={spread:.2e}, theta_dev={theta_dev:.2e}")
 
@@ -716,8 +709,8 @@ def check_swap_descent(samples: int, seed: int) -> VerificationReport:
         if not structural_ok:
             dev = max(dev, 1.0)
 
-        margin0 = b0 - theta(min(a0, 0.5))
-        margin1 = b1 - theta(min(a1, 0.5))
+        margin0 = b0 - theta(a0)
+        margin1 = b1 - theta(a1)
         decrease = margin0 - margin1
         min_decrease = min(min_decrease, decrease)
         if decrease <= 0.0:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from taurho import (
@@ -484,7 +485,9 @@ class TestArea:
         assert round(v, 4) == 1.1543
 
     def test_quadrature_matches(self):
-        assert abs(area_quadrature(1e-10) - area_closed_form()) <= 1e-8
+        closed = area_closed_form()
+        for tol in np.logspace(-13.0, -6.0, 29):
+            assert abs(area_quadrature(tol) - closed) <= tol, tol
 
     def test_quadrature_looser_tolerance(self):
         assert abs(area_quadrature(1e-6) - area_closed_form()) <= 1e-5
@@ -502,7 +505,117 @@ class TestArea:
             classical_area_quadrature(math.nan)
 
     def test_classical_area_is_seven_sixths(self):
-        assert classical_area_quadrature(1e-10) == pytest.approx(7 / 6, abs=1e-10)
+        assert abs(classical_area_quadrature(1e-10) - 7 / 6) <= 1e-15
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 10, 100, 1000])
+    def test_segment_rule_is_exact(self, n):
+        """The 3-node rule on segment n, between the float64 ends the
+        quadrature uses, against the segment's antiderivative to 50 digits."""
+        a = -1.0 + 2.0 / n
+        h = (-1.0 + 2.0 / (n - 1)) - a
+        value = region._panel_sum(phi_boundary, np.array([a]), np.array([h]))
+        with mpmath.workdps(50):
+            k, lo, hi = mpmath.mpf(n), mpmath.mpf(a), mpmath.mpf(a) + mpmath.mpf(h)
+            coef = (k - 2) / (mpmath.sqrt(2) * k**2 * mpmath.sqrt(k - 1))
+
+            def antiderivative(x):
+                excess = max(k * (1 + x) - 2, 0)
+                return (
+                    (-1 - 4 / k**2 + 3 / k) * x + 3 * x**2 / (2 * k)
+                    - coef * excess**2.5 / (mpmath.mpf(5) / 2 * k)
+                )
+
+            exact = antiderivative(hi) - antiderivative(lo)
+            assert abs(value - exact) <= 4 * 2.0**-52 * abs(exact)
+
+    @pytest.mark.parametrize(
+        "exponent,shift,sign",
+        [(1.4, 0, 1.0), (1.5, 1, 1.0), (1.5, 0, -1.0)],
+        ids=["exponent 1.4", "3/(n+1)", "coef sign"],
+    )
+    def test_segment_mutants_move_the_area(self, monkeypatch, exponent, shift, sign):
+        def mutant(n, x, sqrt=np.sqrt, maximum=np.maximum):
+            linear = -1.0 - 4.0 / n**2 + 3.0 / (n + shift) + 3.0 * x / n
+            excess = maximum(n * (1.0 + x) - 2.0, 0.0)
+            coef = sign * (n - 2.0) / (math.sqrt(2.0) * n**2 * sqrt(n - 1.0))
+            return linear - coef * excess**exponent
+
+        monkeypatch.setattr(region, "_phi_segment_value", mutant)
+        assert abs(area_quadrature(1e-10) - area_closed_form()) >= 1e-3
+
+
+def _prototype_segment():
+    """Segment n of Phi as the prototype point (tau(r), rho(r)), r in
+    [1/n, 1/(n-1)], in sympy (the parametrisation of _exact_boundary);
+    r = (n - 1 + w)/(n(n - 1)) runs over it as w runs over [0, 1]."""
+    n, r = sp.symbols("n r", positive=True)
+    tau = 1 - 4 * (n - 1) * r + 2 * n * (n - 1) * r**2
+    rho = 1 - 2 * r * (n - 1) * (3 - 3 * r * (n - 1) + r**2 * (n - 2) * n)
+    return n, r, tau, rho
+
+
+def _corner_remainder(N: int) -> mpmath.mpf:
+    """2 * sum over k > N of the segment gaps 2(3k-1)/(15 k^3 (k-1)^3), to
+    50 digits: their partial fractions 2/(5(k-1)) - 2/(5k) telescope to
+    2/(5N), and the others sum to Hurwitz zeta values."""
+    with mpmath.workdps(50):
+        z, N = mpmath.zeta, mpmath.mpf(N)
+        return 2 * (2 / (5 * N) - 2 * z(2, N) / 5 + 4 * z(3, N) / 15 + 2 * z(3, N + 1) / 15)
+
+
+class TestCornerBound:
+    """The premises and the size of area_quadrature's corner remainder,
+    the area between Phi and the Durbin-Stuart parabola (1+x)^2/2 - 1 on
+    [-1, -1 + 2/N], counted twice."""
+
+    def test_phi_lies_above_the_parabola(self):
+        """rho - ((1+tau)^2/2 - 1) = 2r(n-1)(nr-1)^2(1-(n-1)r): positive
+        inside every segment and zero at its ends, the corners
+        (-1 + 2/n, -1 + 2/n^2) and (-1 + 2/(n-1), -1 + 2/(n-1)^2)."""
+        n, r, tau, rho = _prototype_segment()
+        gap = rho - ((1 + tau) ** 2 / 2 - 1)
+        assert sp.expand(gap - 2 * r * (n - 1) * (n * r - 1) ** 2 * (1 - (n - 1) * r)) == 0
+        for end, m in ((1 / n, n), (1 / (n - 1), n - 1)):
+            assert sp.simplify(tau.subs(r, end) - (-1 + 2 / m)) == 0
+            assert sp.simplify(rho.subs(r, end) - (-1 + 2 / m**2)) == 0
+        p, k = sp.symbols("p k", positive=True)  # n = p + 2 >= 2, w = 1/(1+k) in (0, 1)
+        inside = {r: (n - 1 + 1 / (1 + k)) / (n * (n - 1))}
+        assert sp.factor(gap.subs(inside).subs(n, p + 2)).is_positive
+        assert sp.factor(gap.subs(inside).subs(n, 2)).is_positive
+
+    def test_phi_increases_on_every_segment(self):
+        """dtau/dr = 4(n-1)(nr-1) > 0 inside the segment, and
+        dPhi/dtau = (3/2)(1 - (n-2)r) >= 3/(2(n-1)) on all of it."""
+        n, r, tau, rho = _prototype_segment()
+        slope = sp.Rational(3, 2) * (1 - (n - 2) * r)
+        assert sp.expand(sp.diff(tau, r) - 4 * (n - 1) * (n * r - 1)) == 0
+        assert sp.expand(sp.diff(rho, r) - slope * sp.diff(tau, r)) == 0
+        w = sp.Symbol("w", nonnegative=True)
+        on_segment = slope.subs(r, (n - 1 + w) / (n * (n - 1))) - sp.Rational(3, 2) / (n - 1)
+        # (3/2)(1 - w)(n - 2)/(n(n - 1)) >= 0 for w in [0, 1]
+        assert sp.simplify(on_segment - sp.Rational(3, 2) * (1 - w) * (n - 2) / (n * (n - 1))) == 0
+
+    def test_corner_remainder_is_within_the_bound(self):
+        """The gap integrates to 2(3n-1)/(15 n^3 (n-1)^3) over segment n, so
+        the remainder at N lies in [0, 4/N^4] (the docstring's bound), and
+        it is all of area_quadrature's error but rounding."""
+        n, r, tau, rho = _prototype_segment()
+        gap = rho - ((1 + tau) ** 2 / 2 - 1)
+        integral = sp.integrate(sp.expand(gap * sp.diff(tau, r)), (r, 1 / n, 1 / (n - 1)))
+        assert sp.simplify(integral - 2 * (3 * n - 1) / (15 * n**3 * (n - 1) ** 3)) == 0
+        partial_fractions = (
+            2 / (5 * (n - 1)) - 2 / (5 * n)
+            - 2 / (5 * (n - 1) ** 2) + 4 / (15 * (n - 1) ** 3) + 2 / (15 * n**3)
+        )
+        assert sp.simplify(integral - partial_fractions) == 0
+        for N in (2, 3, 10, 59, 1862, 3310):
+            assert 0 < _corner_remainder(N) <= mpmath.mpf(4) / N**4, N
+        with mpmath.workdps(50):
+            exact = mpmath.mpf(4) / 5 * (1 - mpmath.zeta(3)) + 2 * mpmath.pi**2 / 15
+        for tol in (1e-6, 1e-8, 1e-10, 1e-12, 1e-13):
+            N = math.ceil((12.0 / tol) ** 0.25)
+            expected = float(exact + _corner_remainder(N))
+            assert abs(area_quadrature(tol) - expected) <= 1e-15, tol
 
 
 @settings(derandomize=True, max_examples=300)
