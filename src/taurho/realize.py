@@ -17,17 +17,19 @@ g(t) = 1 - (1-x)^1.5 h(4t-1) - y, where h(tau) = (1 - Phi(tau))/(1-tau)^1.5
 strictly increases on [-1, 1), is >= 0 at t = 0 and <= 0 at t = (1+x)/4
 (the boundary point at x); so one bisection finds g's only root, and a
 boundary target takes t = (1+x)/4 without one.  From the root's curve
-tau v, the base under the ordinal sum is, in order:
+tau v, the base under the ordinal sum follows three rules:
 
-1. the prototype at v, if it has at most PROTOTYPE_N_CAP pieces;
-2. else the two-piece near-flip wedge solved exactly for the target;
-3. else (the sliver under the slid wedge curve) the prototype at v, if
-   it has at most 2**15 pieces;
-4. else the wedge of the same tau v, whose rho lies less than 3.4e-7
-   above the lower boundary for 1 + v < 2**-14.
+1. if the prototype at v has more than PROTOTYPE_N_CAP pieces, the
+   two-piece near-flip wedge solved exactly for the target, if there is
+   one;
+2. else the prototype at v, if it has at most 2**15 pieces;
+3. else (the sliver under the slid wedge curve) the wedge of the same
+   tau v, whose rho lies less than 3.4e-7 above the lower boundary for
+   1 + v < 2**-14.
 
-Step 2 runs before step 3 because a wedge has two pieces, while scoring
-a prototype of 10^4 to 2^15 pieces takes tens of milliseconds.
+The wedge of rule 1 comes before the large prototypes of rule 2 because
+a wedge has two pieces, while scoring a prototype of 10^4 to 2^15 pieces
+takes tens of milliseconds.
 """
 
 from __future__ import annotations
@@ -246,9 +248,8 @@ def _solve_wedge(x: float, y: float) -> float | None:
 
 
 def _ordinal_s(x: float, tau_c: float) -> float:
-    ratio = (1.0 - x) / (1.0 - tau_c) if tau_c < 1.0 else 1.0
-    s = 1.0 - math.sqrt(min(max(ratio, 0.0), 1.0))
-    return min(1.0, max(0.0, s))
+    """The share s that takes tau_c to x, for tau_c <= x < 1."""
+    return 1.0 - math.sqrt(min(max((1.0 - x) / (1.0 - tau_c), 0.0), 1.0))
 
 
 def _lower_half(
@@ -265,17 +266,14 @@ def _lower_half(
     else:
         t = _bisect(lambda t: _g_lower(x, y, t), 0.0, (1.0 + x) / 4.0)
         v = 4.0 * t - 1.0
-    if v >= _CAP_TAU:
+    w = _solve_wedge(x, y) if v < _CAP_TAU else None
+    if w is not None:
+        s = _ordinal_s(x, -1.0 + 2.0 * w * w)
+        return ordinal_sum_with_identity(_wedge_shuffle(w), s), s, -1.0, 0.0
+    if v >= _SLIVER_TAU:
         base = prototype_shuffle(prototype_for_tau(v))
     else:
-        w = _solve_wedge(x, y)
-        if w is not None:
-            s = _ordinal_s(x, -1.0 + 2.0 * w * w)
-            return ordinal_sum_with_identity(_wedge_shuffle(w), s), s, -1.0, 0.0
-        if v >= _SLIVER_TAU:
-            base = prototype_shuffle(prototype_for_tau(v))
-        else:
-            base = _wedge_shuffle(math.sqrt((1.0 + v) / 2.0))
+        base = _wedge_shuffle(math.sqrt((1.0 + v) / 2.0))
     s = _ordinal_s(x, v)
     return ordinal_sum_with_identity(base, s), s, v, t
 

@@ -7,7 +7,7 @@ interval, and optionally reverses the orientation of individual pieces
 (sign -1).  Every such map is a.e. bijective, preserves Lebesgue measure,
 and has slope +-1 wherever it is differentiable.  The copula of
 ``(U, h(U))`` for uniform ``U`` concentrates its mass on the graph of the
-map; :func:`copula_value` evaluates that copula directly.
+map.
 
 Breakpoint convention: the map is evaluated right-continuously, i.e. at a
 cut point the segment to the right wins.  Nothing downstream depends on
@@ -41,8 +41,6 @@ __all__ = [
     "inverse",
     "flip",
     "ordinal_sum_with_identity",
-    "canonicalize",
-    "copula_value",
     "shuffle_to_dict",
     "shuffle_from_dict",
     "read_shuffle_json",
@@ -51,7 +49,6 @@ __all__ = [
 
 _WEIGHT_SUM_TOL = 1e-12
 _JSON_SUM_TOL = 1e-9
-_ZERO_WEIGHT = 1e-12
 
 
 def _entries(field: str, values, plain: type) -> tuple:
@@ -98,18 +95,6 @@ class Permutation:
         for pos, img in enumerate(self.images, start=1):
             inv[img - 1] = pos
         return Permutation(tuple(inv))
-
-    def ascents(self) -> int:
-        """Number of positions i with images[i] < images[i+1]."""
-        return sum(1 for a, b in zip(self.images, self.images[1:]) if a < b)
-
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(1, n + 1)))
-
-    @staticmethod
-    def decreasing(n: int) -> "Permutation":
-        return Permutation(tuple(range(n, 0, -1)))
 
 
 @dataclass(frozen=True)
@@ -184,8 +169,8 @@ def make_shuffle(
 ) -> Shuffle:
     """Build a validated shuffle; ``signs`` defaults to all +1 (straight).
 
-    The representation is stored as given; use :func:`canonicalize` to
-    drop zero pieces and merge mergeable neighbours.
+    The representation is stored as given: zero pieces and neighbours that
+    continue one linear branch are kept.
     """
     p = perm if isinstance(perm, Permutation) else Permutation(tuple(perm))
     w = weights if isinstance(weights, SimplexWeights) else SimplexWeights(tuple(weights))
@@ -285,76 +270,6 @@ def ordinal_sum_with_identity(shuffle: Shuffle, s: float) -> Shuffle:
     w = (s,) + tuple((1.0 - s) * v for v in shuffle.weights.u)
     e = (1,) + shuffle.signs
     return Shuffle(Permutation(p), SimplexWeights(w), e)
-
-
-def canonicalize(shuffle: Shuffle) -> Shuffle:
-    """Minimal representation: drop zero pieces, merge continuing runs.
-
-    Adjacent pieces merge when one linear branch continues through their
-    shared cut: equal signs with target slots adjacent in the same
-    direction (ascending for +1, descending for -1).  Idempotent, and a
-    bit-exact pass-through for inputs already in canonical form.
-    """
-    u = shuffle.weights.as_array()
-    total = float(u.sum())
-    keep = (u / total) > _ZERO_WEIGHT
-    if not keep.any():  # pragma: no cover - sum constraint makes this unreachable
-        keep[int(np.argmax(u))] = True
-    dropped = not keep.all()
-
-    imgs = [v for v, k in zip(shuffle.perm.images, keep) if k]
-    ws = [float(v) for v, k in zip(u, keep) if k]
-    es = [v for v, k in zip(shuffle.signs, keep) if k]
-    if dropped:
-        order = sorted(imgs)
-        imgs = [order.index(v) + 1 for v in imgs]
-        scale = sum(ws)
-        ws = [v / scale for v in ws]
-
-    # Single left-to-right pass; each block remembers its slot range.
-    blocks: list[list] = []  # [img_lo, img_hi, weight, sign]
-    for img, w, e in zip(imgs, ws, es):
-        if blocks:
-            lo, hi, bw, be = blocks[-1]
-            if e == be == 1 and img == hi + 1:
-                blocks[-1] = [lo, img, bw + w, be]
-                continue
-            if e == be == -1 and img == lo - 1:
-                blocks[-1] = [img, hi, bw + w, be]
-                continue
-        blocks.append([img, img, w, e])
-
-    merged = len(blocks) != len(imgs)
-    if not (dropped or merged):
-        return shuffle
-
-    los = [b[0] for b in blocks]
-    rank = {lo: i + 1 for i, lo in enumerate(sorted(los))}
-    new_p = tuple(rank[b[0]] for b in blocks)
-    new_w = np.array([b[2] for b in blocks])
-    new_w = new_w / new_w.sum()
-    new_e = tuple(b[3] for b in blocks)
-    return Shuffle(Permutation(new_p), SimplexWeights(tuple(new_w)), new_e)
-
-
-def copula_value(shuffle: Shuffle, x: float, y: float) -> float:
-    """Copula of (U, h(U)): the measure of [0, x] mapped at or below y."""
-    x = float(x)
-    y = float(y)
-    for name, v in (("x", x), ("y", y)):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"copula_value: {name}={v!r} outside [0, 1]")
-    s, t = breakpoints(shuffle)
-    u = shuffle.weights.as_array()
-    p = np.asarray(shuffle.perm.images)
-    e = np.asarray(shuffle.signs)
-
-    xi = np.clip(x - s[:-1], 0.0, u)          # length of piece k left of x
-    c = np.clip(y - t[p - 1], 0.0, u)         # length of slot p(k) below y
-    up = np.minimum(xi, c)                    # rising branch: low part of piece
-    down = np.maximum(0.0, xi + c - u)        # falling branch: low part is on the right
-    vals = np.where(e == 1, up, down)
-    return float(np.clip(vals.sum(), 0.0, 1.0))
 
 
 # --- JSON interchange -----------------------------------------------------

@@ -24,15 +24,14 @@ import numpy as np
 
 from . import concordance
 from .concordance import ab_values
-from .realize import prototype_for_tau
+from .realize import prototype_for_tau, prototype_shuffle
 from .region import theta
-from .shuffles import Permutation, Shuffle, make_shuffle
+from .shuffles import Permutation
 
 __all__ = [
     "VerificationReport",
     "fisher_yates",
     "random_simplex",
-    "random_shuffle",
     "find_pattern",
     "check_main_inequality",
     "check_minimizer_structure",
@@ -107,22 +106,6 @@ def random_simplex(rng: np.random.Generator, n: int) -> np.ndarray:
     return e / e.sum()
 
 
-def random_shuffle(
-    rng: np.random.Generator,
-    n_max: int = 10,
-    mixed_signs: bool = True,
-    n_min: int = 2,
-) -> Shuffle:
-    n = int(rng.integers(n_min, n_max + 1))
-    perm = fisher_yates(rng, n)
-    u = random_simplex(rng, n)
-    if mixed_signs:
-        signs = tuple(1 if rng.integers(0, 2) == 0 else -1 for _ in range(n))
-    else:
-        signs = (1,) * n
-    return make_shuffle(perm, tuple(u), signs)
-
-
 def find_pattern(perm: Permutation, pattern: tuple[int, ...]):
     """First (lex-smallest) positions realizing ``pattern`` as relative order.
 
@@ -195,14 +178,14 @@ def check_main_inequality(n_max: int = 6, grid_steps: int = 10) -> VerificationR
     row) order.
 
     Equality points (|margin| <= 1e-12) are flat (b = 0, a <= 1/4, where
-    theta vanishes) or should be prototype-shaped by the rule of
-    ``canonicalize``, here in integers: drop the zero k's and re-rank the
-    images left; each step between neighbouring kept entries must be +1
-    (the two merge into one block) or a descent, so the blocks form a
-    decreasing permutation; the block sums of k must sort as (r, ..., r, y)
-    with y <= r.  Other points are flagged in the notes but do not fail the
-    check, which demands the margin stay above -1e-10 and prototype
-    lattice points sit on equality to 1e-12.
+    theta vanishes) or should be prototype-shaped, a rule decided in
+    integers: drop the zero k's and re-rank the images left; each step
+    between neighbouring kept entries must be +1 (the two pieces continue
+    one straight branch, so they merge into one block) or a descent, so
+    the blocks form a decreasing permutation; the block sums of k must
+    sort as (r, ..., r, y) with y <= r.  Other points are flagged in the
+    notes but do not fail the check, which demands the margin stay above
+    -1e-10 and prototype lattice points sit on equality to 1e-12.
     """
     n_max, g = int(n_max), int(grid_steps)
     if not 2 <= n_max <= 7:
@@ -382,8 +365,7 @@ def check_minimizer_structure(n: int, levels: int = 4) -> VerificationReport:
         proto = prototype_for_tau(1.0 - 4.0 * c2)
         if proto.n <= n:
             seed = np.zeros(n)
-            seed[: proto.n - 1] = proto.r
-            seed[proto.n - 1] = max(0.0, 1.0 - (proto.n - 1) * proto.r)
+            seed[: proto.n] = prototype_shuffle(proto).weights.u
             seeds = np.vstack([lattice, seed])
         candidates = _project_to_level(seeds, c2)
         seen: set[tuple] = set()

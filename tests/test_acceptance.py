@@ -29,10 +29,10 @@ from taurho import (
     phi_boundary,
     prototype_for_tau,
     prototype_shuffle,
-    random_shuffle,
     realize,
     tau_rho,
 )
+from conftest import random_shuffle
 
 
 def _report(num: int, desc: str, ok: bool, detail: str) -> None:

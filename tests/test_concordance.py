@@ -28,7 +28,7 @@ from taurho import (
     tau_rho,
 )
 from taurho.concordance import _inversions
-from taurho.verify import random_shuffle
+from conftest import random_shuffle
 
 
 def _brute_inversions(keys, u, x):
@@ -112,7 +112,7 @@ class TestInversionData:
 
     def test_decreasing_has_all(self):
         n = 6
-        d = inversion_data(Permutation.decreasing(n))
+        d = inversion_data(Permutation(tuple(range(n, 0, -1))))
         assert len(d.pairs) == n * (n - 1) // 2
         assert len(d.triples) == n * (n - 1) * (n - 2) // 6
 

@@ -618,6 +618,58 @@ class TestCornerBound:
             assert abs(area_quadrature(tol) - expected) <= 1e-15, tol
 
 
+def _exact_segment(m: int, x: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+    """Segment m of Phi at a rational x in its range as (L, c, D) with
+    value L - c*sqrt(D): coef*excess^1.5 = (m-2)excess/m^2 * sqrt(excess/(2(m-1)))."""
+    excess = m * (1 + x) - 2
+    linear = -1 - Fraction(4, m * m) + Fraction(3, m) + 3 * x / m
+    return linear, (m - 2) * excess / (m * m), excess / (2 * (m - 1))
+
+
+class TestExactShape:
+    """Two claims of the abstract, decided in rationals: Phi is continuous,
+    and the region is not convex."""
+
+    def test_segments_meet_at_the_corners(self):
+        """At every junction x = -1 + 2/n, n <= 10^4, segments n and n + 1
+        of the code both give -1 + 2/n^2 to within 4 * 2**-53, on the
+        scalar and on the array path (2.3 * 2**-53 seen)."""
+        ns = np.arange(2, 10_001)
+        xs = -1.0 + 2.0 / ns
+        bound = Fraction(4, 2**53)
+        for m in (ns, ns + 1):
+            values = region._phi_segment_value(m.astype(float), xs)
+            for n, k, x, v in zip(ns.tolist(), m.tolist(), xs.tolist(), values.tolist()):
+                exact = -1 + Fraction(2, n * n)
+                assert abs(Fraction(v) - exact) <= bound, (n, k)
+                scalar = region._phi_segment_value(float(k), x, math.sqrt, max)
+                assert abs(Fraction(scalar) - exact) <= bound, (n, k)
+
+    def test_midpoint_of_adjacent_corners_lies_below_phi(self):
+        """For n = 2..200 the midpoint of the corners (-1 + 2/n, -1 + 2/n^2)
+        and (-1 + 2/(n+1), -1 + 2/(n+1)^2) lies on segment n + 1, where
+        Phi - chord = A - c*sqrt(D) with A, c, D rational; it is > 0 since
+        A > 0 and A^2 > c^2 D.  The code's Phi there agrees with the
+        rational form to 4 * 2**-53, and ``contains`` rejects the point."""
+        for n in range(2, 201):
+            x = -1 + Fraction(1, n) + Fraction(1, n + 1)
+            y = -1 + Fraction(1, n * n) + Fraction(1, (n + 1) ** 2)
+            assert segment_index(float(x)) == n + 1
+            linear, c, d = _exact_segment(n + 1, x)
+            a = linear - y
+            assert c > 0 and a > 0 and a * a > c * c * d, n
+
+            xf = float(x)
+            linear, c, d = _exact_segment(n + 1, Fraction(xf))
+            with mpmath.workdps(50):
+                exact = mpmath.mpf(linear.numerator) / linear.denominator - (
+                    mpmath.mpf(c.numerator) / c.denominator
+                    * mpmath.sqrt(mpmath.mpf(d.numerator) / d.denominator)
+                )
+                assert abs(phi_boundary(xf) - exact) <= 4 * 2.0**-53, n
+            assert not contains((xf, float(y))), n
+
+
 @settings(derandomize=True, max_examples=300)
 @given(st.floats(min_value=-1.0, max_value=1.0, allow_nan=False))
 def test_lower_boundary_never_exceeds_upper(x):

@@ -6,14 +6,11 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from taurho import (
     Permutation,
     SimplexWeights,
     breakpoints,
-    canonicalize,
-    copula_value,
     evaluate,
     flip,
     flip_shuffle,
@@ -27,14 +24,10 @@ from taurho import (
     tau_rho,
     write_shuffle_json,
 )
-from taurho.verify import random_shuffle
+from conftest import random_shuffle
 
 
 class TestPermutation:
-    def test_identity_and_decreasing(self):
-        assert Permutation.identity(4).images == (1, 2, 3, 4)
-        assert Permutation.decreasing(4).images == (4, 3, 2, 1)
-
     def test_inverse(self):
         p = Permutation((3, 1, 2))
         assert p.inverse().images == (2, 3, 1)
@@ -43,11 +36,6 @@ class TestPermutation:
     def test_call_is_one_based(self):
         p = Permutation((2, 1, 3))
         assert p(1) == 2 and p(2) == 1 and p(3) == 3
-
-    def test_ascents(self):
-        assert Permutation((3, 2, 1)).ascents() == 0
-        assert Permutation((2, 1, 3)).ascents() == 1
-        assert Permutation((1, 2, 3)).ascents() == 2
 
     @pytest.mark.parametrize("images", [(1, 1, 2), (2, 3), (0, 1), ()])
     def test_rejects_non_bijections(self, images):
@@ -209,73 +197,6 @@ class TestOrdinalSum:
             p1 = tau_rho(ordinal_sum_with_identity(sh, s))
             assert p1.tau == pytest.approx(1 - (1 - s) ** 2 * (1 - p0.tau), abs=1e-12)
             assert p1.rho == pytest.approx(1 - (1 - s) ** 3 * (1 - p0.rho), abs=1e-12)
-
-
-class TestCanonicalize:
-    def test_merges_and_drops(self, four_segment):
-        messy = make_shuffle(
-            (5, 3, 1, 2, 4),
-            (1 / 8, 3 / 8, 1 / 8, 1 / 8, 1 / 4),
-            (1, -1, 1, 1, 1),
-        )
-        assert canonicalize(messy) == four_segment
-
-    def test_passthrough_is_bit_exact(self, four_segment):
-        assert canonicalize(four_segment) is four_segment
-
-    def test_drops_zero_weights(self):
-        sh = make_shuffle((3, 1, 2), (0.5, 0.0, 0.5), (1, 1, 1))
-        c = canonicalize(sh)
-        assert c.perm.images == (2, 1)
-        np.testing.assert_allclose(c.weights.u, (0.5, 0.5))
-
-    def test_reflected_merge_needs_descending_images(self):
-        # adjacent -1 pieces glue when images step downward
-        sh = make_shuffle((2, 1), (0.5, 0.5), (-1, -1))
-        c = canonicalize(sh)
-        assert c.n == 1 and c.signs == (-1,)
-
-    def test_idempotent(self, rng):
-        for _ in range(30):
-            sh = random_shuffle(rng, n_max=7)
-            once = canonicalize(sh)
-            assert canonicalize(once) is once
-
-
-class TestCopula:
-    def test_margins(self, four_segment):
-        for v in np.linspace(0, 1, 9):
-            assert copula_value(four_segment, v, 1.0) == pytest.approx(v, abs=1e-14)
-            assert copula_value(four_segment, 1.0, v) == pytest.approx(v, abs=1e-14)
-            assert copula_value(four_segment, v, 0.0) == 0.0
-            assert copula_value(four_segment, 0.0, v) == 0.0
-
-    def test_frechet_bounds(self, four_segment, rng):
-        for _ in range(500):
-            x, y = rng.uniform(0, 1, 2)
-            c = copula_value(four_segment, x, y)
-            assert max(x + y - 1, 0) - 1e-12 <= c <= min(x, y) + 1e-12
-
-    def test_two_increasing(self, rng):
-        for _ in range(10):
-            sh = random_shuffle(rng, n_max=6)
-            for _ in range(200):
-                x1, x2 = np.sort(rng.uniform(0, 1, 2))
-                y1, y2 = np.sort(rng.uniform(0, 1, 2))
-                vol = (
-                    copula_value(sh, x2, y2)
-                    - copula_value(sh, x1, y2)
-                    - copula_value(sh, x2, y1)
-                    + copula_value(sh, x1, y1)
-                )
-                assert vol >= -1e-12
-
-
-@settings(derandomize=True, max_examples=200)
-@given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
-def test_identity_copula_is_min(x):
-    sh = identity_shuffle()
-    assert copula_value(sh, x, 0.7) == pytest.approx(min(x, 0.7), abs=1e-14)
 
 
 class TestSerialization:
