@@ -16,6 +16,7 @@ malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -114,7 +115,10 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every ``run`` can reuse it."""
     parser = argparse.ArgumentParser(
         prog="taurho",
         description="Shuffle concordance toolkit: evaluate, realize, verify.",
@@ -158,9 +162,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -145,28 +145,56 @@ def _incidence(images) -> tuple[np.ndarray, np.ndarray]:
     pairs, triples = _positions(len(img))
     p, q = img[pairs]
     x, y, z = img[triples]
-    return (p > q).T, (((x > y) ^ (y > z)) == (z > x)).T
+    inverted, cyclic = (p > q).T, (((x > y) ^ (y > z)) == (z > x)).T
+    # row-major, so each row of a stack reaches BLAS laid out as one permutation's
+    return np.ascontiguousarray(inverted), np.ascontiguousarray(cyclic)
 
 
 def _ab(inverted, cyclic, u):
-    """a and b of the incidence's permutations at the weight rows u (..., n):
-    the pair and triple products of u summed over the masks, (m, rows) for a
-    stack of permutations and a stack of rows."""
+    """a and b of the incidence's permutations (..., m, P) and (..., m, T)
+    at the weight rows u (..., r, n): the pair and triple products of each
+    row summed over the masks, (..., m, r).  A stack of permutations shares
+    one stack of rows; leading axes give each permutation its own rows."""
     pairs, triples = _positions(u.shape[-1])
-    return inverted @ u.T[pairs].prod(0), cyclic @ u.T[triples].prod(0)
+    rows = np.swapaxes(u, -1, -2)
+    # products laid out as for one permutation, so each ``@`` makes its BLAS call
+    a = inverted @ np.ascontiguousarray(rows[..., pairs, :].prod(-3))
+    b = cyclic @ np.ascontiguousarray(rows[..., triples, :].prod(-3))
+    return a, b
 
 
 def _tensors(inverted, cyclic, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """One permutation's inverted pairs as a symmetric 0/1 matrix and its
-    cyclic-descent triples as a symmetric 0/1 tensor."""
+    """Inverted pairs (..., P) as symmetric 0/1 matrices (..., n, n) and
+    cyclic-descent triples (..., T) as symmetric 0/1 tensors (..., n, n, n),
+    for one permutation or a stack: one scatter per order of the positions."""
     pairs, triples = _positions(n)
-    pair_mat = np.zeros((n, n))
-    triple_ten = np.zeros((n, n, n))
-    for p, q in itertools.permutations(pairs[:, inverted]):
-        pair_mat[p, q] = 1.0
-    for x, y, z in itertools.permutations(triples[:, cyclic]):
-        triple_ten[x, y, z] = 1.0
+    pair_mat = np.zeros(inverted.shape[:-1] + (n, n))
+    triple_ten = np.zeros(cyclic.shape[:-1] + (n, n, n))
+    for p, q in itertools.permutations(pairs):
+        pair_mat[..., p, q] = inverted
+    for x, y, z in itertools.permutations(triples):
+        triple_ten[..., x, y, z] = cyclic
     return pair_mat, triple_ten
+
+
+# Products over stacks of one permutation's vectors, matrices and tensors.
+# Each runs, per member, the BLAS dot or matvec that ``@`` runs on one, so a
+# stack gives bit for bit what a loop over its members gives.
+
+def _matvec(x, v):
+    """x (..., [n,] n, n) times the vectors v (..., n), as ``x @ v``."""
+    shape = v.shape[:-1] + (1,) * (x.ndim - v.ndim - 1) + v.shape[-1:] + (1,)
+    return (x @ v.reshape(shape))[..., 0]
+
+
+def _vecmat(v, x):
+    """The vectors v (..., n) times the matrices x (..., n, n), as ``v @ x``."""
+    return (v[..., None, :] @ x)[..., 0, :]
+
+
+def _dot(v, w):
+    """Row by row v . w of two (..., n) stacks, as ``v @ w``."""
+    return (v[..., None, :] @ w[..., None])[..., 0, 0]
 
 
 @dataclass(frozen=True)
@@ -212,8 +240,8 @@ def ab_values(perm: Permutation, u) -> tuple[float, float]:
     polynomials, so ``u`` is not required to be normalised (the
     perturbation checks feed in off-simplex points on purpose).
     """
-    a, b = _ab(*_incidence(perm.images), _weights_array(u, perm.n))
-    return float(a), float(b)
+    a, b = _ab(*_incidence(perm.images), _weights_array(u, perm.n)[None])
+    return float(a[0]), float(b[0])
 
 
 @dataclass(eq=False)
@@ -242,16 +270,18 @@ class PerturbationCoeffs:
 
 def _coeffs(pair_mat, triple_ten, u, d) -> PerturbationCoeffs:
     """The expansion from the matrix and tensor of ``_tensors``: a is
-    u.A.u / 2 and b is T[u, u, u] / 6, so each coefficient is a contraction."""
-    a_vec = pair_mat @ u
-    c_mat = triple_ten @ u
-    b_vec = c_mat @ u / 2.0
+    u.A.u / 2 and b is T[u, u, u] / 6, so each coefficient is a contraction.
+    On stacks (a leading axis on all four) every field is stacked, the five
+    coefficients as arrays."""
+    a_vec = _matvec(pair_mat, u)
+    c_mat = _matvec(triple_ten, u)
+    b_vec = _matvec(c_mat, u) / 2.0
     return PerturbationCoeffs(
-        alpha1=float(a_vec @ d),
-        alpha2=float(d @ pair_mat @ d) / 2.0,
-        beta1=float(b_vec @ d),
-        beta2=float(d @ c_mat @ d) / 2.0,
-        beta3=float(triple_ten @ d @ d @ d) / 6.0,
+        alpha1=_dot(a_vec, d),
+        alpha2=_dot(_vecmat(d, pair_mat), d) / 2.0,
+        beta1=_dot(b_vec, d),
+        beta2=_dot(_vecmat(d, c_mat), d) / 2.0,
+        beta3=_dot(_matvec(_matvec(triple_ten, d), d), d) / 6.0,
         a_vec=a_vec,
         b_vec=b_vec,
         c_mat=c_mat,
@@ -266,7 +296,10 @@ def perturbation_coeffs(perm: Permutation, u, delta) -> PerturbationCoeffs:
         raise ValueError(f"delta must have shape ({n},), got {d.shape}")
     if abs(float(d.sum())) > 1e-12:
         raise ValueError(f"delta must sum to zero, got {float(d.sum())!r}")
-    return _coeffs(*_tensors(*_incidence(perm.images), n), arr, d)
+    c = _coeffs(*_tensors(*_incidence(perm.images), n), arr, d)
+    return replace(
+        c, **{f: float(getattr(c, f)) for f in ("alpha1", "alpha2", "beta1", "beta2", "beta3")}
+    )
 
 
 def oracle_tau_rho(shuffle: Shuffle, grid_m: int = 2000) -> RegionPoint:

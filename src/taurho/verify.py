@@ -11,10 +11,18 @@ Everything is deterministic given (seed, parameters): random
 permutations come from an explicit Fisher-Yates driven by a PCG64
 generator, random weights from normalized standard exponentials, and all
 reductions are order-fixed min/max folds.
+
+The sampled checks draw their samples one at a time, in order, and
+evaluate them in batches: the samples of one piece count n form one
+stack, and each product in it runs the BLAS call that one sample alone
+would run, so a report does not depend on the batching.  Blocks of at most
+``_SAMPLE_BLOCK`` draws bound the memory; the witness is the first sample
+in draw order that reaches the worst margin.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -23,7 +31,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import concordance
-from .concordance import ab_values
 from .realize import prototype_for_tau, prototype_shuffle
 from .region import theta
 from .shuffles import Permutation
@@ -52,6 +59,8 @@ _EXACT_TOL = 1e-14
 _MAIN_BUDGET = 50_000_000
 # (permutation, lattice row) entries of one block of the main sweep
 _SWEEP_ENTRIES = 1 << 17
+# samples of one block of a sampled check
+_SAMPLE_BLOCK = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -91,11 +100,24 @@ def _sampled(samples: int, seed: int) -> tuple[int, np.random.Generator]:
     return samples, np.random.Generator(np.random.PCG64(_seed(seed)))
 
 
+def _stacks(samples: int, rng: np.random.Generator, draw):
+    """Draw ``samples`` samples in order, each ``draw(rng)`` = (n, *fields),
+    and yield them stacked by n: (index, n, *fields), each field an array
+    with one row per sample and ``index`` their places in draw order.  Draws
+    go in blocks of at most ``_SAMPLE_BLOCK``, which bound the memory."""
+    for start in range(0, samples, _SAMPLE_BLOCK):
+        block = [draw(rng) for _ in range(min(_SAMPLE_BLOCK, samples - start))]
+        sizes = np.array([sample[0] for sample in block])
+        for n in sorted(set(sizes.tolist())):
+            (index,) = np.nonzero(sizes == n)
+            yield start + index, n, *(np.array(f) for f in zip(*(block[i][1:] for i in index)))
+
+
 def fisher_yates(rng: np.random.Generator, n: int) -> Permutation:
-    """Uniform random permutation by an explicit Fisher-Yates pass."""
+    """Uniform random permutation by an explicit Fisher-Yates pass; its n - 1
+    swap positions come from one draw, the stream of n - 1 single draws."""
     imgs = list(range(1, n + 1))
-    for i in range(n - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
+    for i, j in zip(range(n - 1, 0, -1), rng.integers(0, np.arange(n, 1, -1)).tolist()):
         imgs[i], imgs[j] = imgs[j], imgs[i]
     return Permutation(tuple(imgs))
 
@@ -106,6 +128,29 @@ def random_simplex(rng: np.random.Generator, n: int) -> np.ndarray:
     return e / e.sum()
 
 
+@functools.lru_cache(maxsize=32)
+def _subsets(l: int, k: int) -> np.ndarray:
+    """The k-subsets of the 0-based positions 0..l-1 in lex order, (C, k)."""
+    subsets = np.array(list(itertools.combinations(range(l), k)), dtype=np.intp).reshape(-1, k)
+    subsets.setflags(write=False)
+    return subsets
+
+
+def _first_occurrence(perms: np.ndarray, pattern: tuple[int, ...]):
+    """Which rows of a permutation stack (m, l) contain ``pattern``, and the
+    lex-first 0-based positions of an occurrence in each (0, ..., k - 1
+    where there is none): a k-subset of positions is one when its images,
+    read in the pattern's value order, increase."""
+    k = len(pattern)
+    subsets = _subsets(perms.shape[1], k)
+    vals = perms[:, subsets[:, np.argsort(pattern)]]
+    hits = np.all(vals[..., 1:] > vals[..., :-1], axis=2)
+    found = hits.any(axis=1)
+    if not found.any():
+        return found, np.broadcast_to(np.arange(k), (len(perms), k))
+    return found, subsets[hits.argmax(axis=1)]
+
+
 def find_pattern(perm: Permutation, pattern: tuple[int, ...]):
     """First (lex-smallest) positions realizing ``pattern`` as relative order.
 
@@ -113,15 +158,8 @@ def find_pattern(perm: Permutation, pattern: tuple[int, ...]):
     p_1 < ... < p_k whose images compare exactly like the pattern values.
     Returns None if the permutation avoids the pattern.
     """
-    k = len(pattern)
-    imgs = perm.images
-    order = tuple(np.argsort(pattern))
-    for positions in itertools.combinations(range(perm.n), k):
-        vals = [imgs[p] for p in positions]
-        ranked = sorted(range(k), key=vals.__getitem__)
-        if tuple(ranked) == order:
-            return tuple(p + 1 for p in positions)
-    return None
+    (found,), (first,) = _first_occurrence(np.array([perm.images]), pattern)
+    return tuple((first + 1).tolist()) if found else None
 
 
 def _compositions(total: int, parts: int, rows: int):
@@ -274,7 +312,7 @@ def _project_to_level(u: np.ndarray, c2) -> np.ndarray:
     e2 = (u.sum(-1) ** 2 - (u * u).sum(-1)) / 2.0
     v = np.where((e2 < c2)[..., None], 1.0 / n, np.arange(n) == 0)
     # row-wise inner products, summed as u @ v sums one pair: a row projects as one point does
-    s_uu, s_uv, s_vv = ((x[..., None, :] @ y[..., :, None])[..., 0, 0] for x, y in ((u, u), (u, v), (v, v)))
+    s_uu, s_uv, s_vv = (concordance._dot(x, y) for x, y in ((u, u), (u, v), (v, v)))
     a = s_uu - 2.0 * s_uv + s_vv
     b = 2.0 * (s_uv - s_uu)
     c = s_uu - (1.0 - 2.0 * c2)
@@ -427,6 +465,14 @@ def check_minimizer_structure(n: int, levels: int = 4) -> VerificationReport:
 
 # --- perturbation identities ----------------------------------------------
 
+def _draw_perturbation(rng: np.random.Generator):
+    n = int(rng.integers(2, 11))
+    perm = fisher_yates(rng, n)
+    u = random_simplex(rng, n)
+    d = rng.standard_normal(n)
+    return n, perm.images, u, d, rng.uniform(-1.0, 1.0)
+
+
 def check_perturbation_identities(samples: int, seed: int) -> VerificationReport:
     """a and b along u + t*delta match their finite Taylor forms exactly.
 
@@ -435,93 +481,96 @@ def check_perturbation_identities(samples: int, seed: int) -> VerificationReport
     {1/2, -1/2, 1/7, -1/7} and one random t, at 1e-12 relative tolerance.
     """
     samples, rng = _sampled(samples, seed)
-    worst = math.inf
-    worst_info: dict = {}
-    for _ in range(samples):
-        n = int(rng.integers(2, 11))
-        perm = fisher_yates(rng, n)
-        u = random_simplex(rng, n)
-        d = rng.standard_normal(n)
-        d -= d.mean()
-        scale = float(np.max(np.abs(d)))
-        if scale > 0.0:
-            d /= scale
-        d -= d.mean()  # the rescaling can move the sum off zero again
-        masks = concordance._incidence(perm.images)
+    worst = (math.inf, -1, {})  # (margin, draw index, witness)
+    for index, n, images, u, d, t in _stacks(samples, rng, _draw_perturbation):
+        d -= d.mean(axis=1, keepdims=True)
+        scale = np.abs(d).max(axis=1, keepdims=True)
+        np.divide(d, scale, out=d, where=scale > 0.0)
+        d -= d.mean(axis=1, keepdims=True)  # the rescaling can move the sum off zero again
+        masks = concordance._incidence(images)
         coeffs = concordance._coeffs(*concordance._tensors(*masks, n), u, d)
-        ts = np.array([0.5, -0.5, 1.0 / 7.0, -1.0 / 7.0, float(rng.uniform(-1.0, 1.0))])
-        a, b = concordance._ab(*masks, np.vstack([u, u + ts[:, None] * d]))
+        ts = np.empty((5, len(t)))  # one column per sample
+        ts[:4] = np.array([0.5, -0.5, 1.0 / 7.0, -1.0 / 7.0])[:, None]
+        ts[4] = t
+        points = np.concatenate([u[None], u + ts[..., None] * d]).transpose(1, 0, 2)
+        a, b = (v[:, 0].T for v in concordance._ab(*(mask[:, None] for mask in masks), points))
         lhs = np.array([a[1:] - a[0], b[1:] - b[0]])
         rhs = np.array([
             coeffs.alpha1 * ts + coeffs.alpha2 * ts * ts,
             coeffs.beta1 * ts + coeffs.beta2 * ts * ts + coeffs.beta3 * ts**3,
         ])
         dev = (abs(lhs - rhs) / np.maximum(1.0, np.maximum(abs(lhs), abs(rhs)))).max(axis=0)
-        j = int(np.argmax(dev))
-        if -dev[j] < worst:
-            worst = -float(dev[j])
-            worst_info = {
+        j = dev.argmax(axis=0)
+        margin = -dev[j, np.arange(len(t))]
+        s = int(np.argmin(margin))
+        if (margin[s], index[s]) < worst[:2]:
+            worst = (float(margin[s]), int(index[s]), {
                 "n": n,
-                "perm": list(perm.images),
-                "u": [float(v) for v in u],
-                "delta": [float(v) for v in d],
-                "t": float(ts[j]),
-                "deviation": float(dev[j]),
-            }
+                "perm": images[s].tolist(),
+                "u": u[s].tolist(),
+                "delta": d[s].tolist(),
+                "t": float(ts[j[s], s]),
+                "deviation": float(dev[j[s], s]),
+            })
     return VerificationReport(
         check_name="perturbation_identities",
         instances_tested=samples,
-        worst_margin=worst,
-        worst_witness=_witness(**worst_info),
-        passed=worst >= -_IDENTITY_TOL,
+        worst_margin=worst[0],
+        worst_witness=_witness(**worst[2]),
+        passed=worst[0] >= -_IDENTITY_TOL,
         notes="",
     )
 
 
 # --- triangle inequality for the c coefficients ---------------------------
 
+def _draw_weighted(rng: np.random.Generator):
+    """A sample of the triangle and delta checks: n in 3..10, a permutation
+    and a simplex point."""
+    n = int(rng.integers(3, 11))
+    perm = fisher_yates(rng, n)
+    return n, perm.images, random_simplex(rng, n)
+
+
 def check_triangle_inequality(samples: int, seed: int) -> VerificationReport:
     """c[p,r] + c[q,r] >= c[p,q] >= 0 whenever {p,q,r} is not a descent triple."""
     samples, rng = _sampled(samples, seed)
-    worst = math.inf
-    worst_info: dict = {}
+    worst = (math.inf, -1, {})  # (margin, draw index, witness)
     qualifying = 0
     vacuous = 0
-    for _ in range(samples):
-        n = int(rng.integers(3, 11))
-        perm = fisher_yates(rng, n)
-        u = random_simplex(rng, n)
-        triple_ten = concordance._tensors(*concordance._incidence(perm.images), n)[1]
-        c = triple_ten @ u
+    for index, n, images, u in _stacks(samples, rng, _draw_weighted):
+        triple_ten = concordance._tensors(*concordance._incidence(images), n)[1]
+        c = concordance._matvec(triple_ten, u)
         # (p, q, r) over the lex-ordered pairs p < q (rows) and every r
         p, q = concordance._positions(n)[0]
         r = np.arange(n)
-        keep = (r != p[:, None]) & (r != q[:, None]) & (triple_ten[p, q] == 0.0)
-        cpq = c[p, q][:, None]
-        margins = np.where(keep, np.minimum(c[p] + c[q] - cpq, cpq), np.inf)
+        keep = (r != p[:, None]) & (r != q[:, None]) & (triple_ten[:, p, q] == 0.0)
+        cpq = c[:, p, q][..., None]
+        margins = np.where(keep, np.minimum(c[:, p] + c[:, q] - cpq, cpq), np.inf)
+        margins = margins.reshape(len(u), -1)
         qualifying += int(keep.sum())
-        if not keep.any():
-            vacuous += 1
-            continue
-        i, k = np.unravel_index(int(np.argmin(margins)), margins.shape)
-        if margins[i, k] < worst:
-            worst = float(margins[i, k])
-            worst_info = {
+        vacuous += int((~keep.any(axis=(1, 2))).sum())
+        at = margins.argmin(axis=1)
+        margin = margins[np.arange(len(u)), at]  # inf for a sample with no qualifying triple
+        s = int(np.argmin(margin))
+        if (margin[s], index[s]) < worst[:2]:
+            i, k = divmod(int(at[s]), n)
+            worst = (float(margin[s]), int(index[s]), {
                 "n": n,
-                "perm": list(perm.images),
-                "u": [float(v) for v in u],
-                "pqr": [int(p[i]) + 1, int(q[i]) + 1, int(k) + 1],
-                "margin": worst,
-            }
+                "perm": images[s].tolist(),
+                "u": u[s].tolist(),
+                "pqr": [int(p[i]) + 1, int(q[i]) + 1, k + 1],
+                "margin": float(margin[s]),
+            })
+    margin, _, info = worst
     if qualifying == 0:
-        worst = 0.0
-        worst_info = {"note": "no qualifying triples in any sample"}
+        margin, info = 0.0, {"note": "no qualifying triples in any sample"}
     return VerificationReport(
         check_name="triangle_inequality",
         instances_tested=qualifying,
-        worst_margin=worst,
-        worst_witness=_witness(**worst_info),
-        passed=worst >= -_EXACT_TOL,
+        worst_margin=margin,
+        worst_witness=_witness(**info),
+        passed=margin >= -_EXACT_TOL,
         notes=f"{samples} permutations sampled, {vacuous} with no qualifying triple",
     )
 
@@ -537,81 +586,68 @@ def check_delta_construction(samples: int, seed: int) -> VerificationReport:
     containing neither are counted as skipped.
     """
     samples, rng = _sampled(samples, seed)
-    worst = math.inf
-    worst_info: dict = {}
+    worst = (math.inf, -1, {})  # (margin, draw index, witness)
     tested = 0
-    skipped = 0
     used_i = 0
     used_ii = 0
-    for _ in range(samples):
-        n = int(rng.integers(3, 11))
-        perm = fisher_yates(rng, n)
-        u = random_simplex(rng, n)
-        pair_mat, triple_ten = concordance._tensors(*concordance._incidence(perm.images), n)
-        a_vec = pair_mat @ u
+    for index, n, images, u in _stacks(samples, rng, _draw_weighted):
+        pair_mat, triple_ten = concordance._tensors(*concordance._incidence(images), n)
+        a_vec = concordance._matvec(pair_mat, u)
+        found_i, hit_i = _first_occurrence(images, (1, 2, 3))
+        found_ii, hit_ii = _first_occurrence(images, (3, 4, 1, 2))
+        found_ii &= ~found_i
+        (used,) = np.nonzero(found_i | found_ii)
+        tested += len(used)
+        used_i += int(found_i.sum())
+        used_ii += int(found_ii.sum())
+        if not len(used):
+            continue
+        d = np.zeros_like(u)
+        rows = np.flatnonzero(found_i)[:, None]
+        at = a_vec[rows, hit_i[found_i]]  # a at p, q, r
+        d[rows, hit_i[found_i]] = at[:, [1, 2, 0]] - at[:, [2, 0, 1]]
+        rows = np.flatnonzero(found_ii)[:, None]
+        at = a_vec[rows, hit_ii[found_ii]]  # a at p, q, r, s
+        d_p, d_r = at[:, 2] - at[:, 3], at[:, 1] - at[:, 0]
+        d[rows, hit_ii[found_ii]] = np.column_stack([d_p, -d_p, d_r, -d_r])
 
-        d = np.zeros(n)
-        hit = find_pattern(perm, (1, 2, 3))
-        if hit is not None:
-            p, q, r = hit
-            d[p - 1] = a_vec[q - 1] - a_vec[r - 1]
-            d[q - 1] = a_vec[r - 1] - a_vec[p - 1]
-            d[r - 1] = a_vec[p - 1] - a_vec[q - 1]
-            used_i += 1
-        else:
-            hit = find_pattern(perm, (3, 4, 1, 2))
-            if hit is None:
-                skipped += 1
-                continue
-            p, q, r, s = hit
-            d[p - 1] = a_vec[r - 1] - a_vec[s - 1]
-            d[q - 1] = -d[p - 1]
-            d[r - 1] = a_vec[q - 1] - a_vec[p - 1]
-            d[s - 1] = -d[r - 1]
-            used_ii += 1
-        if np.max(np.abs(d)) <= 1e-14:
-            d[:] = 0.0
-            d[p - 1], d[q - 1] = 1.0, -1.0
-        d /= np.max(np.abs(d))
-        coeffs = concordance._coeffs(pair_mat, triple_ten, u, d)
-        deviation = max(
-            abs(coeffs.alpha1), abs(coeffs.alpha2), abs(coeffs.beta3), coeffs.beta2
-        )
-        tested += 1
-        if -deviation < worst:
-            worst = -deviation
-            worst_info = {
+        d = d[used]
+        p, q = np.where(found_i[:, None], hit_i[:, :2], hit_ii[:, :2])[used].T
+        (tiny,) = np.nonzero(np.abs(d).max(axis=1) <= 1e-14)
+        d[tiny] = 0.0
+        d[tiny, p[tiny]], d[tiny, q[tiny]] = 1.0, -1.0
+        d /= np.abs(d).max(axis=1, keepdims=True)
+        coeffs = concordance._coeffs(pair_mat[used], triple_ten[used], u[used], d)
+        deviation = abs(coeffs.alpha1)
+        for x in (abs(coeffs.alpha2), abs(coeffs.beta3), coeffs.beta2):
+            deviation = np.where(x > deviation, x, deviation)  # as max(): ties keep the first
+        s = int(np.argmin(-deviation))
+        row = used[s]
+        if (-deviation[s], index[row]) < worst[:2]:
+            positions = hit_i[row] if found_i[row] else hit_ii[row]
+            worst = (-float(deviation[s]), int(index[row]), {
                 "n": n,
-                "perm": list(perm.images),
-                "u": [float(v) for v in u],
-                "delta": [float(v) for v in d],
-                "pattern_positions": list(hit),
-                "coeffs": [coeffs.alpha1, coeffs.alpha2, coeffs.beta2, coeffs.beta3],
-            }
+                "perm": images[row].tolist(),
+                "u": u[row].tolist(),
+                "delta": d[s].tolist(),
+                "pattern_positions": (positions + 1).tolist(),
+                "coeffs": [float(getattr(coeffs, f)[s]) for f in ("alpha1", "alpha2", "beta2", "beta3")],
+            })
+    margin, _, info = worst
     if tested == 0:
-        worst = 0.0
-        worst_info = {"note": "every sampled permutation avoided both patterns"}
+        margin, info = 0.0, {"note": "every sampled permutation avoided both patterns"}
+    skipped = samples - tested
     return VerificationReport(
         check_name="delta_construction",
         instances_tested=tested,
-        worst_margin=worst,
-        worst_witness=_witness(**worst_info),
-        passed=worst >= -_IDENTITY_TOL,
+        worst_margin=margin,
+        worst_witness=_witness(**info),
+        passed=margin >= -_IDENTITY_TOL,
         notes=f"pattern (i) used {used_i} times, pattern (ii) {used_ii}, skipped {skipped}",
     )
 
 
 # --- almost-decreasing classification -------------------------------------
-
-def _contains(perms: np.ndarray, pattern: tuple[int, ...]) -> np.ndarray:
-    """Which rows of a permutation stack (m, l) contain ``pattern``: some
-    k-subset of positions whose images, read in the pattern's value order,
-    increase."""
-    k = len(pattern)
-    subsets = np.array(list(itertools.combinations(range(perms.shape[1]), k)), dtype=np.intp)
-    vals = perms[:, subsets.reshape(-1, k)[:, np.argsort(pattern)]]
-    return np.all(vals[..., 1:] > vals[..., :-1], axis=2).any(axis=1)
-
 
 def check_almost_decreasing_classification(l_max: int) -> VerificationReport:
     """Avoiding both patterns 123 and 3412 is the same as being almost
@@ -626,7 +662,7 @@ def check_almost_decreasing_classification(l_max: int) -> VerificationReport:
     first_bad: dict | None = None
     for l in range(1, l_max + 1):
         perms = np.array(list(itertools.permutations(range(1, l + 1))), dtype=np.int8)
-        cond_a = ~(_contains(perms, (1, 2, 3)) | _contains(perms, (3, 4, 1, 2)))
+        cond_a = ~(_first_occurrence(perms, (1, 2, 3))[0] | _first_occurrence(perms, (3, 4, 1, 2))[0])
         cond_b = (np.diff(perms, axis=1) > 0).sum(axis=1) <= 1
         cond_b |= (np.diff(np.argsort(perms, axis=1), axis=1) > 0).sum(axis=1) <= 1
         bad = np.flatnonzero(cond_a != cond_b)
@@ -652,6 +688,12 @@ def check_almost_decreasing_classification(l_max: int) -> VerificationReport:
 
 # --- swap descent ---------------------------------------------------------
 
+def _draw_swap(rng: np.random.Generator):
+    n = int(rng.integers(3, 11))
+    in_a = rng.integers(0, 2, size=n - 2) == 1  # does value 2, ..., n - 1 join 1 in block A
+    return n, in_a, random_simplex(rng, n)
+
+
 def check_swap_descent(samples: int, seed: int) -> VerificationReport:
     """Swapping the pieces holding values 1 and n changes (a, b) by the
     closed forms u_k*u_{k+1} and -u_k*u_{k+1}*(sum of the other weights),
@@ -663,57 +705,49 @@ def check_swap_descent(samples: int, seed: int) -> VerificationReport:
     k = position of 1).
     """
     samples, rng = _sampled(samples, seed)
-    worst = math.inf
-    worst_info: dict = {}
+    worst = (math.inf, -1, {})  # (margin, draw index, witness)
     min_decrease = math.inf
-    for _ in range(samples):
-        n = int(rng.integers(3, 11))
-        # Block A: a subset of {1..n-1} containing 1, listed decreasingly.
-        rest = [v for v in range(2, n) if rng.integers(0, 2) == 1]
-        block_a = sorted(rest + [1], reverse=True)
-        block_b = sorted(set(range(1, n + 1)) - set(block_a), reverse=True)
-        perm = Permutation(tuple(block_a + block_b))
-        u = random_simplex(rng, n)
-        k = len(block_a)
+    for index, n, in_a, u in _stacks(samples, rng, _draw_swap):
+        rows = np.arange(len(u))[:, None]
+        in_a = np.column_stack([np.ones(len(u), bool), in_a, np.zeros(len(u), bool)])
+        # block A (the values in_a) decreasing, then block B decreasing
+        images = np.argsort(np.where(in_a, 0, n + 1) - np.arange(1, n + 1), axis=1) + 1
+        k = in_a.sum(axis=1)
+        swap = np.column_stack([k - 1, k])  # the 0-based positions of values 1 and n
+        structural_ok = (
+            (images[rows, swap] == (1, n)).all(axis=1) & (images[:, 0] != n) & (images[:, -1] != 1)
+        )
+        images2, u2 = images.copy(), u.copy()
+        images2[rows, swap] = images[rows, swap[:, ::-1]]
+        u2[rows, swap] = u[rows, swap[:, ::-1]]
 
-        structural_ok = perm(k) == 1 and perm(k + 1) == n and perm(1) != n and perm(n) != 1
-        imgs = list(perm.images)
-        imgs[k - 1], imgs[k] = imgs[k], imgs[k - 1]
-        u2 = u.copy()
-        u2[k - 1], u2[k] = u2[k], u2[k - 1]
-        perm2 = Permutation(tuple(imgs))
-
-        a0, b0 = ab_values(perm, u)
-        a1, b1 = ab_values(perm2, u2)
-        prod = float(u[k - 1] * u[k])
-        rest_sum = float(u.sum() - u[k - 1] - u[k])
-        dev = max(abs((a1 - a0) - prod), abs((b1 - b0) + prod * rest_sum))
-        if not structural_ok:
-            dev = max(dev, 1.0)
-
-        margin0 = b0 - theta(a0)
-        margin1 = b1 - theta(a1)
+        masks = concordance._incidence(np.stack([images, images2], axis=1))
+        at = np.stack([u, u2], axis=1)[:, :, None]
+        a, b = (v[..., 0, 0].T for v in concordance._ab(*(m[..., None, :] for m in masks), at))
+        prod = u[rows, swap].prod(axis=1)
+        rest_sum = u.sum(axis=1) - u[rows[:, 0], k - 1] - u[rows[:, 0], k]
+        dev = np.maximum(abs((a[1] - a[0]) - prod), abs((b[1] - b[0]) + prod * rest_sum))
+        margin0, margin1 = b - theta(a)
         decrease = margin0 - margin1
-        min_decrease = min(min_decrease, decrease)
-        if decrease <= 0.0:
-            dev = max(dev, 1.0)
+        min_decrease = min(min_decrease, float(decrease.min()))
+        dev = np.where(structural_ok & ~(decrease <= 0.0), dev, np.maximum(dev, 1.0))
 
-        if -dev < worst:
-            worst = -dev
-            worst_info = {
+        s = int(np.argmin(-dev))
+        if (-dev[s], index[s]) < worst[:2]:
+            worst = (-float(dev[s]), int(index[s]), {
                 "n": n,
-                "perm": list(perm.images),
-                "u": [float(v) for v in u],
-                "k": k,
-                "deviation": dev,
-                "margin_decrease": decrease,
-            }
+                "perm": images[s].tolist(),
+                "u": u[s].tolist(),
+                "k": int(k[s]),
+                "deviation": float(dev[s]),
+                "margin_decrease": float(decrease[s]),
+            })
     return VerificationReport(
         check_name="swap_descent",
         instances_tested=samples,
-        worst_margin=worst,
-        worst_witness=_witness(**worst_info),
-        passed=worst >= -_EXACT_TOL,
+        worst_margin=worst[0],
+        worst_witness=_witness(**worst[2]),
+        passed=worst[0] >= -_EXACT_TOL,
         notes=f"smallest margin decrease {min_decrease:.3e}",
     )
 

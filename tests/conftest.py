@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from taurho import fisher_yates, make_shuffle, random_simplex
+from taurho.concordance import _positions
 
 
 def random_shuffle(rng, n_max=10, mixed_signs=True, n_min=2):
@@ -15,6 +18,38 @@ def random_shuffle(rng, n_max=10, mixed_signs=True, n_min=2):
     else:
         signs = (1,) * n
     return make_shuffle(perm, tuple(u), signs)
+
+
+def tensors_loop(inverted, cyclic, n):
+    """One permutation's inverted pairs as a symmetric 0/1 matrix and its
+    cyclic-descent triples as a symmetric 0/1 tensor, one entry at a time:
+    the reference for ``concordance._tensors``."""
+    pairs, triples = _positions(n)
+    pair_mat = np.zeros((n, n))
+    triple_ten = np.zeros((n, n, n))
+    for p, q in itertools.permutations(pairs[:, inverted]):
+        pair_mat[p, q] = 1.0
+    for x, y, z in itertools.permutations(triples[:, cyclic]):
+        triple_ten[x, y, z] = 1.0
+    return pair_mat, triple_ten
+
+
+def coeffs_one(pair_mat, triple_ten, u, d):
+    """The perturbation coefficients of one permutation, each contraction one
+    ``@`` on its own vectors: the reference for ``concordance._coeffs``."""
+    a_vec = pair_mat @ u
+    c_mat = triple_ten @ u
+    b_vec = c_mat @ u / 2.0
+    return {
+        "alpha1": float(a_vec @ d),
+        "alpha2": float(d @ pair_mat @ d) / 2.0,
+        "beta1": float(b_vec @ d),
+        "beta2": float(d @ c_mat @ d) / 2.0,
+        "beta3": float(triple_ten @ d @ d @ d) / 6.0,
+        "a_vec": a_vec,
+        "b_vec": b_vec,
+        "c_mat": c_mat,
+    }
 
 
 @pytest.fixture

@@ -1,9 +1,10 @@
 """End-to-end tests of the ``taurho`` command line.
 
-Everything runs in-process through :func:`taurho.cli.run` except one
-smoke test that runs the entry point declared under ``[project.scripts]``
-in ``pyproject.toml`` in a subprocess, the way a console-script wrapper
-does, so no installed executable is needed.
+Everything runs in-process through :func:`taurho.cli.run` except two
+tests that start subprocesses: a smoke test that runs the entry point
+declared under ``[project.scripts]`` in ``pyproject.toml`` the way a
+console-script wrapper does, so no installed executable is needed, and
+the fresh-process side of the test that one parser serves many calls.
 """
 
 import json
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import taurho
-from taurho import boundary_samples, concordance, verify, write_shuffle_json
+from taurho import boundary_samples, cli, concordance, verify, write_shuffle_json
 from taurho.cli import run
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -214,6 +215,41 @@ class TestArgErrors:
         capsys.readouterr()
 
 
+def _subprocess_env():
+    """The environment with the source tree the in-process tests imported
+    first on PYTHONPATH."""
+    src = str(Path(taurho.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=pythonpath)
+
+
+def test_one_parser_serves_every_call(shuffle_path, capsys):
+    """A malformed call, then eval, then a verify suite, in one process,
+    exit and print as each does in a fresh process."""
+    calls = [
+        ["verify", "--suite", "nonsense"],
+        ["eval", "--shuffle", shuffle_path],
+        ["verify", "--suite", "swap_descent"],
+    ]
+    here = []
+    for argv in calls:
+        code = run(argv)
+        here.append((code, capsys.readouterr().out))
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from taurho.cli import run; sys.exit(run(sys.argv[1:]))", *argv],
+            capture_output=True,
+            text=True,
+            env=_subprocess_env(),
+            timeout=120,
+        )
+        fresh.append((proc.returncode, proc.stdout))
+    assert [code for code, _ in here] == [2, 0, 0]
+    assert here == fresh
+    assert cli._parser() is cli._parser()
+
+
 def test_console_script(shuffle_path):
     try:
         import tomllib
@@ -227,16 +263,11 @@ def test_console_script(shuffle_path):
         f"import sys; from {module} import {func}; "
         f"sys.argv[0] = 'taurho'; sys.exit({func}())"
     )
-    # Load the same source tree the in-process tests imported.
-    src = str(Path(taurho.__file__).resolve().parent.parent)
-    inherited = os.environ.get("PYTHONPATH")
-    pythonpath = os.pathsep.join(filter(None, [src, inherited]))
-    env = dict(os.environ, PYTHONPATH=pythonpath)
     proc = subprocess.run(
         [sys.executable, "-c", wrapper, "eval", "--shuffle", shuffle_path],
         capture_output=True,
         text=True,
-        env=env,
+        env=_subprocess_env(),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

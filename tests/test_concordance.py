@@ -27,8 +27,9 @@ from taurho import (
     Prototype,
     tau_rho,
 )
+from taurho import concordance
 from taurho.concordance import _inversions
-from conftest import random_shuffle
+from conftest import coeffs_one, random_shuffle, tensors_loop
 
 
 def _brute_inversions(keys, u, x):
@@ -311,3 +312,64 @@ def test_chunked_path_matches_closed_form():
         rho_c = 1 - 2 * r * (n - 1) * (3 - 3 * r * (n - 1) + r * r * (n - 2) * n)
         assert pt.tau == pytest.approx(tau_c, abs=1e-11), n
         assert pt.rho == pytest.approx(rho_c, abs=1e-11), n
+
+
+class TestStacks:
+    """The stack forms of the pair/triple algebra against one permutation
+    at a time."""
+
+    def test_scatter_matches_the_loop(self):
+        """One scatter per order of the positions sets the entries the loop
+        sets one at a time: every permutation with n <= 6, one at a time and
+        as one stack."""
+        for n in range(1, 7):
+            perms = np.array(list(itertools.permutations(range(1, n + 1))))
+            masks = concordance._incidence(perms)
+            pair_mats, triple_tens = concordance._tensors(*masks, n)
+            assert pair_mats.shape == (len(perms), n, n)
+            assert triple_tens.shape == (len(perms), n, n, n)
+            for i, images in enumerate(perms):
+                want = tensors_loop(*concordance._incidence(images), n)
+                got = concordance._tensors(*concordance._incidence(images), n)
+                for w, g, stacked in zip(want, got, (pair_mats[i], triple_tens[i])):
+                    assert np.array_equal(g, w) and np.array_equal(stacked, w)
+
+    def test_coefficients_are_bit_identical(self, rng):
+        """perturbation_coeffs and a stack of _coeffs give, bit for bit, what
+        one ``@`` per contraction gives on the loop's matrix and tensor."""
+        for n in range(2, 11):
+            images = np.array([rng.permutation(n) + 1 for _ in range(20)])
+            u = rng.standard_exponential((20, n))
+            u /= u.sum(axis=1, keepdims=True)
+            d = rng.standard_normal((20, n))
+            d -= d.mean(axis=1, keepdims=True)
+            stacked = concordance._coeffs(*concordance._tensors(*concordance._incidence(images), n), u, d)
+            for i in range(20):
+                want = coeffs_one(*tensors_loop(*concordance._incidence(images[i]), n), u[i], d[i])
+                got = perturbation_coeffs(Permutation(tuple(images[i].tolist())), u[i], d[i])
+                for name, value in want.items():
+                    assert np.array_equal(getattr(got, name), value), (n, i, name)
+                    assert np.array_equal(getattr(stacked, name)[i], value), (n, i, name)
+                assert all(type(getattr(got, f)) is float for f in ("alpha1", "alpha2", "beta1", "beta2", "beta3"))
+
+    def test_paired_ab_is_bit_identical(self, rng):
+        """_ab with each permutation paired to its own rows gives, bit for
+        bit, what it gives for that permutation alone: one ``@`` of each mask
+        with the row products, a dot for a single row as in ab_values."""
+        for n in range(2, 11):
+            images = np.array([rng.permutation(n) + 1 for _ in range(10)])
+            rows = rng.standard_exponential((10, 3, n))
+            inverted, cyclic = concordance._incidence(images)
+            pairs, triples = concordance._positions(n)
+            for r in (slice(None), slice(1, 2)):
+                a, b = concordance._ab(inverted[:, None], cyclic[:, None], rows[:, r])
+                assert a.shape == b.shape == (10, 1, len(rows[0, r]))
+                for i in range(10):
+                    u = rows[i, r]
+                    assert np.array_equal(a[i, 0], inverted[i] @ u.T[pairs].prod(0))
+                    assert np.array_equal(b[i, 0], cyclic[i] @ u.T[triples].prod(0))
+            for i in range(10):
+                u = rows[i, 1]
+                got = ab_values(Permutation(tuple(images[i].tolist())), u)
+                assert got == (a[i, 0, 0], b[i, 0, 0])
+                assert got == (inverted[i] @ u[pairs].prod(0), cyclic[i] @ u[triples].prod(0))

@@ -32,7 +32,7 @@ from taurho import (
     random_simplex,
     theta,
 )
-from conftest import random_shuffle
+from conftest import coeffs_one, random_shuffle, tensors_loop
 
 
 def _rng(seed=0):
@@ -629,6 +629,318 @@ class TestSampledChecks:
         assert check_perturbation_identities(1000, 676687234).passed
 
 
+# --- per-sample references for the sampled checks --------------------------
+# The checks as they ran before they were batched: one sample at a time, each
+# with its own BLAS calls, Fisher-Yates swaps and block bits one draw each,
+# and pattern occurrences found by a scan of the position tuples.
+
+def _fisher_yates_loop(rng, n):
+    imgs = list(range(1, n + 1))
+    for i in range(n - 1, 0, -1):
+        j = int(rng.integers(0, i + 1))
+        imgs[i], imgs[j] = imgs[j], imgs[i]
+    return Permutation(tuple(imgs))
+
+
+def _find_pattern_loop(perm, pattern):
+    k = len(pattern)
+    imgs = perm.images
+    order = tuple(np.argsort(pattern))
+    for positions in itertools.combinations(range(perm.n), k):
+        vals = [imgs[p] for p in positions]
+        ranked = sorted(range(k), key=vals.__getitem__)
+        if tuple(ranked) == order:
+            return tuple(p + 1 for p in positions)
+    return None
+
+
+def _ab_loop(perm, rows):
+    """a and b of one permutation at the weight rows (r, n), or at one (n,)."""
+    pairs, triples = concordance._positions(perm.n)
+    inverted, cyclic = concordance._incidence(perm.images)
+    return inverted @ rows.T[pairs].prod(0), cyclic @ rows.T[triples].prod(0)
+
+
+def _perturbation_loop(samples, seed):
+    rng = _rng(seed)
+    worst = math.inf
+    worst_info: dict = {}
+    for _ in range(samples):
+        n = int(rng.integers(2, 11))
+        perm = _fisher_yates_loop(rng, n)
+        u = random_simplex(rng, n)
+        d = rng.standard_normal(n)
+        d -= d.mean()
+        scale = float(np.max(np.abs(d)))
+        if scale > 0.0:
+            d /= scale
+        d -= d.mean()
+        coeffs = coeffs_one(*tensors_loop(*concordance._incidence(perm.images), n), u, d)
+        ts = np.array([0.5, -0.5, 1.0 / 7.0, -1.0 / 7.0, float(rng.uniform(-1.0, 1.0))])
+        a, b = _ab_loop(perm, np.vstack([u, u + ts[:, None] * d]))
+        lhs = np.array([a[1:] - a[0], b[1:] - b[0]])
+        rhs = np.array([
+            coeffs["alpha1"] * ts + coeffs["alpha2"] * ts * ts,
+            coeffs["beta1"] * ts + coeffs["beta2"] * ts * ts + coeffs["beta3"] * ts**3,
+        ])
+        dev = (abs(lhs - rhs) / np.maximum(1.0, np.maximum(abs(lhs), abs(rhs)))).max(axis=0)
+        j = int(np.argmax(dev))
+        if -dev[j] < worst:
+            worst = -float(dev[j])
+            worst_info = {
+                "n": n,
+                "perm": list(perm.images),
+                "u": [float(v) for v in u],
+                "delta": [float(v) for v in d],
+                "t": float(ts[j]),
+                "deviation": float(dev[j]),
+            }
+    return VerificationReport(
+        check_name="perturbation_identities",
+        instances_tested=samples,
+        worst_margin=worst,
+        worst_witness=json.dumps(worst_info, sort_keys=True),
+        passed=worst >= -1e-12,
+        notes="",
+    )
+
+
+def _triangle_loop(samples, seed):
+    rng = _rng(seed)
+    worst = math.inf
+    worst_info: dict = {}
+    qualifying = 0
+    vacuous = 0
+    for _ in range(samples):
+        n = int(rng.integers(3, 11))
+        perm = _fisher_yates_loop(rng, n)
+        u = random_simplex(rng, n)
+        triple_ten = tensors_loop(*concordance._incidence(perm.images), n)[1]
+        c = triple_ten @ u
+        p, q = concordance._positions(n)[0]
+        r = np.arange(n)
+        keep = (r != p[:, None]) & (r != q[:, None]) & (triple_ten[p, q] == 0.0)
+        cpq = c[p, q][:, None]
+        margins = np.where(keep, np.minimum(c[p] + c[q] - cpq, cpq), np.inf)
+        qualifying += int(keep.sum())
+        if not keep.any():
+            vacuous += 1
+            continue
+        i, k = np.unravel_index(int(np.argmin(margins)), margins.shape)
+        if margins[i, k] < worst:
+            worst = float(margins[i, k])
+            worst_info = {
+                "n": n,
+                "perm": list(perm.images),
+                "u": [float(v) for v in u],
+                "pqr": [int(p[i]) + 1, int(q[i]) + 1, int(k) + 1],
+                "margin": worst,
+            }
+    if qualifying == 0:
+        worst = 0.0
+        worst_info = {"note": "no qualifying triples in any sample"}
+    return VerificationReport(
+        check_name="triangle_inequality",
+        instances_tested=qualifying,
+        worst_margin=worst,
+        worst_witness=json.dumps(worst_info, sort_keys=True),
+        passed=worst >= -1e-14,
+        notes=f"{samples} permutations sampled, {vacuous} with no qualifying triple",
+    )
+
+
+def _delta_loop(samples, seed):
+    rng = _rng(seed)
+    worst = math.inf
+    worst_info: dict = {}
+    tested = skipped = used_i = used_ii = 0
+    for _ in range(samples):
+        n = int(rng.integers(3, 11))
+        perm = _fisher_yates_loop(rng, n)
+        u = random_simplex(rng, n)
+        pair_mat, triple_ten = tensors_loop(*concordance._incidence(perm.images), n)
+        a_vec = pair_mat @ u
+        d = np.zeros(n)
+        hit = _find_pattern_loop(perm, (1, 2, 3))
+        if hit is not None:
+            p, q, r = hit
+            d[p - 1] = a_vec[q - 1] - a_vec[r - 1]
+            d[q - 1] = a_vec[r - 1] - a_vec[p - 1]
+            d[r - 1] = a_vec[p - 1] - a_vec[q - 1]
+            used_i += 1
+        else:
+            hit = _find_pattern_loop(perm, (3, 4, 1, 2))
+            if hit is None:
+                skipped += 1
+                continue
+            p, q, r, s = hit
+            d[p - 1] = a_vec[r - 1] - a_vec[s - 1]
+            d[q - 1] = -d[p - 1]
+            d[r - 1] = a_vec[q - 1] - a_vec[p - 1]
+            d[s - 1] = -d[r - 1]
+            used_ii += 1
+        if np.max(np.abs(d)) <= 1e-14:
+            d[:] = 0.0
+            d[p - 1], d[q - 1] = 1.0, -1.0
+        d /= np.max(np.abs(d))
+        coeffs = coeffs_one(pair_mat, triple_ten, u, d)
+        deviation = max(abs(coeffs["alpha1"]), abs(coeffs["alpha2"]), abs(coeffs["beta3"]), coeffs["beta2"])
+        tested += 1
+        if -deviation < worst:
+            worst = -deviation
+            worst_info = {
+                "n": n,
+                "perm": list(perm.images),
+                "u": [float(v) for v in u],
+                "delta": [float(v) for v in d],
+                "pattern_positions": list(hit),
+                "coeffs": [coeffs[f] for f in ("alpha1", "alpha2", "beta2", "beta3")],
+            }
+    if tested == 0:
+        worst = 0.0
+        worst_info = {"note": "every sampled permutation avoided both patterns"}
+    return VerificationReport(
+        check_name="delta_construction",
+        instances_tested=tested,
+        worst_margin=worst,
+        worst_witness=json.dumps(worst_info, sort_keys=True),
+        passed=worst >= -1e-12,
+        notes=f"pattern (i) used {used_i} times, pattern (ii) {used_ii}, skipped {skipped}",
+    )
+
+
+def _swap_blocks_loop(rng):
+    """n, then one fair bit per value 2..n-1 (1: it joins 1 in block A)."""
+    n = int(rng.integers(3, 11))
+    return n, [v for v in range(2, n) if rng.integers(0, 2) == 1]
+
+
+def _swap_descent_loop(samples, seed):
+    rng = _rng(seed)
+    worst = math.inf
+    worst_info: dict = {}
+    min_decrease = math.inf
+    for _ in range(samples):
+        n, rest = _swap_blocks_loop(rng)
+        block_a = sorted(rest + [1], reverse=True)
+        block_b = sorted(set(range(1, n + 1)) - set(block_a), reverse=True)
+        perm = Permutation(tuple(block_a + block_b))
+        u = random_simplex(rng, n)
+        k = len(block_a)
+        structural_ok = perm(k) == 1 and perm(k + 1) == n and perm(1) != n and perm(n) != 1
+        imgs = list(perm.images)
+        imgs[k - 1], imgs[k] = imgs[k], imgs[k - 1]
+        u2 = u.copy()
+        u2[k - 1], u2[k] = u2[k], u2[k - 1]
+        a0, b0 = (float(v) for v in _ab_loop(perm, u))
+        a1, b1 = (float(v) for v in _ab_loop(Permutation(tuple(imgs)), u2))
+        prod = float(u[k - 1] * u[k])
+        rest_sum = float(u.sum() - u[k - 1] - u[k])
+        dev = max(abs((a1 - a0) - prod), abs((b1 - b0) + prod * rest_sum))
+        if not structural_ok:
+            dev = max(dev, 1.0)
+        decrease = (b0 - theta(a0)) - (b1 - theta(a1))
+        min_decrease = min(min_decrease, decrease)
+        if decrease <= 0.0:
+            dev = max(dev, 1.0)
+        if -dev < worst:
+            worst = -dev
+            worst_info = {
+                "n": n,
+                "perm": list(perm.images),
+                "u": [float(v) for v in u],
+                "k": k,
+                "deviation": dev,
+                "margin_decrease": decrease,
+            }
+    return VerificationReport(
+        check_name="swap_descent",
+        instances_tested=samples,
+        worst_margin=worst,
+        worst_witness=json.dumps(worst_info, sort_keys=True),
+        passed=worst >= -1e-14,
+        notes=f"smallest margin decrease {min_decrease:.3e}",
+    )
+
+
+_SAMPLED = {
+    check_perturbation_identities: _perturbation_loop,
+    check_triangle_inequality: _triangle_loop,
+    check_delta_construction: _delta_loop,
+    check_swap_descent: _swap_descent_loop,
+}
+
+
+def _assert_same_report(got, want):
+    assert (got.check_name, got.passed, got.instances_tested, got.notes, got.worst_witness) == (
+        want.check_name, want.passed, want.instances_tested, want.notes, want.worst_witness
+    )
+    assert abs(got.worst_margin - want.worst_margin) <= 1e-15
+
+
+class TestBatchedSamples:
+    @pytest.mark.parametrize("check", list(_SAMPLED), ids=lambda f: f.__name__)
+    def test_matches_the_per_sample_loop(self, check):
+        """Seeds 0-19 at 1, 7 and 50 samples: the same report as the loop."""
+        for seed in range(20):
+            for samples in (1, 7, 50):
+                _assert_same_report(check(samples, seed), _SAMPLED[check](samples, seed))
+
+    @pytest.mark.parametrize(
+        "check, samples",
+        [
+            (check_perturbation_identities, 1000),
+            (check_triangle_inequality, 500),
+            (check_delta_construction, 500),
+            (check_swap_descent, 500),
+        ],
+        ids=lambda v: getattr(v, "__name__", str(v)),
+    )
+    def test_cli_defaults_match_the_per_sample_loop(self, check, samples):
+        """The registry's call at seed 0, as ``taurho verify`` runs it."""
+        (got,) = verify.CHECKS[check.__name__[len("check_"):]](0)
+        _assert_same_report(got, _SAMPLED[check](samples, 0))
+
+    @pytest.mark.parametrize("check", list(_SAMPLED), ids=lambda f: f.__name__)
+    def test_block_size_does_not_change_the_report(self, monkeypatch, check):
+        """One sample per block, blocks that split the draws unevenly, and the
+        default block give one report."""
+        full = [check(60, seed) for seed in (2, 5)]
+        for block in (1, 7):
+            monkeypatch.setattr(verify, "_SAMPLE_BLOCK", block)
+            assert [check(60, seed) for seed in (2, 5)] == full
+
+    def test_blocks_bound_the_memory(self, monkeypatch):
+        """The block size, not the sample count, sets the peak: 1,000
+        samples in blocks of 16 stay under 0.5 MB, in one block they take
+        over 2 MB."""
+        peaks = []
+        for block in (16, 1000):
+            monkeypatch.setattr(verify, "_SAMPLE_BLOCK", block)
+            tracemalloc.start()
+            try:
+                check_perturbation_identities(1000, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 2**19 < 2**21 < peaks[1]
+
+    def test_draws_keep_the_stream(self):
+        """One array draw gives the Fisher-Yates swaps and the swap check's
+        block bits of the one-at-a-time draws, for n = 1..12 and 300 seeds,
+        and leaves the generator where they leave it."""
+        for seed in range(300):
+            rng, ref = _rng(seed), _rng(seed)
+            for n in range(1, 13):
+                assert fisher_yates(rng, n) == _fisher_yates_loop(ref, n)
+                n_swap, in_a, u = verify._draw_swap(rng)
+                want_n, rest = _swap_blocks_loop(ref)
+                assert n_swap == want_n
+                assert [v for v, bit in zip(range(2, n_swap), in_a) if bit] == rest
+                assert np.array_equal(u, random_simplex(ref, n_swap))
+            assert np.array_equal(rng.standard_exponential(4), ref.standard_exponential(4))
+
+
 class TestRegistry:
     def test_run_all_checks_follows_the_registry(self, monkeypatch):
         calls = []
@@ -694,7 +1006,7 @@ def _classification_loop(l_max):
     for l in range(1, l_max + 1):
         for images in itertools.permutations(range(1, l + 1)):
             perm = Permutation(images)
-            cond_a = find_pattern(perm, (1, 2, 3)) is None and find_pattern(perm, (3, 4, 1, 2)) is None
+            cond_a = all(_find_pattern_loop(perm, pattern) is None for pattern in ((1, 2, 3), (3, 4, 1, 2)))
             cond_b = min(
                 sum(a < b for a, b in zip(p.images, p.images[1:])) for p in (perm, perm.inverse())
             ) <= 1
@@ -724,10 +1036,13 @@ def test_classification_matches_the_loop():
 def test_classification_reports_a_mismatch(monkeypatch):
     """With 3412 dropped from condition (a), 3412 itself is the first
     permutation the two conditions disagree on."""
-    contains = verify._contains
-    monkeypatch.setattr(
-        verify, "_contains", lambda perms, pattern: contains(perms, pattern) & (len(pattern) == 3)
-    )
+    first_occurrence = verify._first_occurrence
+
+    def without_3412(perms, pattern):
+        found, first = first_occurrence(perms, pattern)
+        return found & (len(pattern) == 3), first
+
+    monkeypatch.setattr(verify, "_first_occurrence", without_3412)
     r = check_almost_decreasing_classification(4)
     assert not r.passed and r.worst_margin < 0
     assert json.loads(r.worst_witness)["perm"] == [3, 4, 1, 2]
@@ -735,7 +1050,12 @@ def test_classification_reports_a_mismatch(monkeypatch):
 
 @pytest.mark.parametrize("pattern", [(1, 2, 3), (3, 4, 1, 2), (2, 3, 1)])
 def test_stack_masks_match_find_pattern(pattern):
+    """Over a stack, and through find_pattern, the first occurrence is the
+    one a scan of the position tuples finds first."""
     for l in range(1, 8):
         perms = np.array(list(itertools.permutations(range(1, l + 1))), dtype=np.int8)
-        want = [find_pattern(Permutation(tuple(p)), pattern) is not None for p in perms.tolist()]
-        assert verify._contains(perms, pattern).tolist() == want
+        want = [_find_pattern_loop(Permutation(tuple(p)), pattern) for p in perms.tolist()]
+        found, first = verify._first_occurrence(perms, pattern)
+        assert found.tolist() == [hit is not None for hit in want]
+        assert [tuple(f) for f in (first[found] + 1).tolist()] == [hit for hit in want if hit]
+        assert [find_pattern(Permutation(tuple(p)), pattern) for p in perms.tolist()] == want
