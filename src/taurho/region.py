@@ -25,11 +25,9 @@ input (a float, a numpy scalar or a 0-d array) is converted with
 gives a float; ``realize``'s bisection, ``contains`` and per-sample
 ``theta`` calls take this path.  An array goes through numpy
 elementwise, for ``boundary_samples``, the quadrature and the
-main-inequality sweep.  Both paths run the same operations in the same
-order.  The scalar path gives the bits numpy gives on a 0-d input, since
-both reach libm ``pow``; numpy's ``power`` runs SIMD code on arrays, so
-the array path can differ from the scalar one by 1 ulp (on about 0.03%
-of uniform inputs on an AVX-512 machine).
+main-inequality sweep.  Both paths run the same correctly rounded
+operations (the 3/2 power is taken as ``excess * sqrt(excess)``) in the
+same order, so they give the same bits.
 """
 
 from __future__ import annotations
@@ -106,12 +104,11 @@ def segment_index(x: float) -> int:
 
 def _phi_segment_value(n, x, sqrt=np.sqrt, maximum=np.maximum):
     """Segment n's closed form at x, for arrays or, given ``math.sqrt``
-    and ``max``, for floats; ``n**2`` is a square on arrays and libm
-    ``pow`` on floats, as numpy took it on 0-d inputs."""
+    and ``max``, for floats."""
     linear = -1.0 - 4.0 / n**2 + 3.0 / n + 3.0 * x / n
     excess = maximum(n * (1.0 + x) - 2.0, 0.0)
     coef = (n - 2.0) / (math.sqrt(2.0) * n**2 * sqrt(n - 1.0))  # 0 for n = 2
-    return linear - coef * excess**1.5
+    return linear - coef * (excess * sqrt(excess))
 
 
 def _phi(x: np.ndarray) -> np.ndarray:

@@ -7,6 +7,12 @@ safer: a check passes when its worst margin stays above minus the
 tolerance declared for that check.  Identity-style checks therefore
 report minus the largest deviation seen.
 
+The two exhaustive checks do only the work their claims need.  The main
+inequality sweeps one permutation per orbit of the symmetries that keep
+a and b, counting each entry once per member of its orbit, and reports
+as the full sweep would.  The minimizer lemma is decided on its finite
+candidate set, which holds every minimiser by Lagrange.
+
 Everything is deterministic given (seed, parameters): random
 permutations come from an explicit Fisher-Yates driven by a PCG64
 generator, random weights from normalized standard exponentials, and all
@@ -31,9 +37,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import concordance
-from .realize import prototype_for_tau, prototype_shuffle
 from .region import theta
-from .shuffles import Permutation
+from .shuffles import Permutation, _entries
 
 __all__ = [
     "VerificationReport",
@@ -53,10 +58,10 @@ __all__ = [
 
 _MAIN_TOL = 1e-10
 _EQUALITY_TOL = 1e-12
-_SHAPE_TOL = 1e-6
 _IDENTITY_TOL = 1e-12
 _EXACT_TOL = 1e-14
 _MAIN_BUDGET = 50_000_000
+_MINIMIZER_BUDGET = 1 << 20
 # (permutation, lattice row) entries of one block of the main sweep
 _SWEEP_ENTRIES = 1 << 17
 # samples of one block of a sampled check
@@ -84,8 +89,15 @@ class VerificationReport:
         return asdict(self)
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a bool or a non-integral value raises
+    ``ValueError`` naming the argument."""
+    (value,) = _entries(name, (value,), int)
+    return value
+
+
 def _seed(seed: int) -> int:
-    seed = int(seed)
+    seed = _integer("seed", seed)
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     return seed
@@ -94,7 +106,7 @@ def _seed(seed: int) -> int:
 def _sampled(samples: int, seed: int) -> tuple[int, np.random.Generator]:
     """A sampled check's sample count, checked before its seed, and its
     seeded generator."""
-    samples = int(samples)
+    samples = _integer("samples", samples)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     return samples, np.random.Generator(np.random.PCG64(_seed(seed)))
@@ -184,6 +196,50 @@ def _witness(**kwargs) -> str:
 
 # --- the main inequality --------------------------------------------------
 
+def _symmetric_images(images: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries (permutation images, lattice k), both (m, n), under the
+    four maps that keep a and b: the identity; inversion, pi^-1 with the
+    weights re-indexed by image; reverse-complement, n + 1 - pi(n + 1 - i)
+    with the weights reversed; and both.  (4, m, n) each."""
+    n = images.shape[1]
+    rows = np.arange(len(images))[:, None]
+    inv, k_inv = np.empty_like(images), np.empty_like(k)
+    inv[rows, images - 1] = np.arange(1, n + 1)
+    k_inv[rows, images - 1] = k
+    perms, ks = np.stack([images, inv]), np.stack([k, k_inv])
+    return np.concatenate([perms, n + 1 - perms[..., ::-1]]), np.concatenate([ks, ks[..., ::-1]])
+
+
+@functools.lru_cache(maxsize=8)
+def _orbits(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lex-first permutation of each orbit of the four maps on the
+    permutations of 1..n, in lex order (r, n), and the orbit sizes (r,)."""
+    perms = np.array(list(itertools.permutations(range(1, n + 1))))
+    codes = _symmetric_images(perms, perms)[0] @ (n + 1) ** np.arange(n - 1, -1, -1)
+    first = codes[0] == codes.min(axis=0)
+    sizes = 1 + (np.diff(np.sort(codes, axis=0), axis=0) != 0).sum(axis=0)
+    reps, sizes = perms[first], sizes[first]
+    reps.setflags(write=False)
+    sizes.setflags(write=False)
+    return reps, sizes
+
+
+def _first_keys(perms: np.ndarray, k: np.ndarray, p: np.ndarray, r: np.ndarray, count: int) -> list:
+    """The first ``count`` distinct keys (permutation, k), as tuples in
+    sweep order, among the images of the entries (perms[p], k[r]).  A map
+    re-indexes k by columns fixed by the map and the permutation, so the
+    rows of each permutation are sorted once per map by those columns."""
+    keys = set()
+    for q in np.flatnonzero(np.bincount(p)):  # the distinct p
+        rows = k[r[p == q]]
+        images, columns = _symmetric_images(perms[q : q + 1], np.arange(k.shape[1])[None])
+        for image, cols in zip(images[:, 0].tolist(), columns[:, 0]):
+            mapped = rows[:, cols]
+            first = mapped[np.lexsort(mapped.T[::-1])[:count]].tolist()
+            keys.update((tuple(image), tuple(row)) for row in first)
+    return sorted(keys)[:count]
+
+
 def _prototype_shaped(images: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Which rows (permutation images, lattice k) are prototypes up to
     representation; the rule is in ``check_main_inequality``."""
@@ -206,14 +262,18 @@ def _prototype_shaped(images: np.ndarray, k: np.ndarray) -> np.ndarray:
 def check_main_inequality(n_max: int = 6, grid_steps: int = 10) -> VerificationReport:
     """b >= theta(a) for every permutation and every lattice weight vector.
 
-    Exhausts all permutations of each size n up to ``n_max`` against the
-    simplex lattice u = k / g, g = ``grid_steps``, k integer.  a*g^2 and
-    b*g^3 are sums of pair and triple products of k, for all permutations
-    one matrix product with their incidence; the budget keeps them below
-    2^53, so they are exact in float64.  theta is taken once per distinct
-    a; blocks of at most 2^17 (permutation, lattice row) entries bound the
-    memory.  The witness is the first minimum in (n, permutation, lattice
-    row) order.
+    Covers all permutations of each size n up to ``n_max`` against the
+    simplex lattice u = k / g, g = ``grid_steps``, k integer.  Inversion
+    (weights re-indexed by image) and reverse-complement (weights reversed)
+    keep the inverted pairs and cyclic triples, so a and b: the sweep takes
+    one permutation per orbit of the two (230 of 720 at n = 6) and counts
+    each entry once per member of its orbit.  a*g^2 and b*g^3 are sums of
+    pair and triple products of k, for all permutations one matrix product
+    with their incidence; the budget keeps them below 2^53, so they are
+    exact in float64.  theta is taken once per distinct a; blocks of at
+    most 2^17 (permutation, lattice row) entries bound the memory.  The
+    witness is the first minimum in (n, permutation, lattice row) order
+    over all permutations, found among the images of the minima.
 
     Equality points (|margin| <= 1e-12) are flat (b = 0, a <= 1/4, where
     theta vanishes) or should be prototype-shaped, a rule decided in
@@ -222,10 +282,11 @@ def check_main_inequality(n_max: int = 6, grid_steps: int = 10) -> VerificationR
     one straight branch, so they merge into one block) or a descent, so
     the blocks form a decreasing permutation; the block sums of k must
     sort as (r, ..., r, y) with y <= r.  Other points are flagged in the
-    notes but do not fail the check, which demands the margin stay above
-    -1e-10 and prototype lattice points sit on equality to 1e-12.
+    notes, the first five in sweep order as above, but do not fail the
+    check, which demands the margin stay above -1e-10 and prototype
+    lattice points sit on equality to 1e-12.
     """
-    n_max, g = int(n_max), int(grid_steps)
+    n_max, g = _integer("n_max", n_max), _integer("grid_steps", grid_steps)
     if not 2 <= n_max <= 7:
         raise ValueError(f"n_max must be in [2, 7], got {n_max}")
     if g < 2:
@@ -237,14 +298,14 @@ def check_main_inequality(n_max: int = 6, grid_steps: int = 10) -> VerificationR
             f"budget of {_MAIN_BUDGET}"
         )
 
-    worst: tuple = (math.inf,)  # (margin, n, permutation, chunk, row, images, k)
-    others: list[tuple] = []  # unexpected: (n, permutation, chunk, row, images, k)
+    worst: tuple = (math.inf,)  # (margin, n, permutation, k)
+    others: list[tuple] = []  # the first unexpected points: (n, permutation, k)
     n_prototype_eq = n_flat_eq = n_other = n_proto_points = 0
     proto_dev = 0.0
     for n in range(2, n_max + 1):
-        perms = np.array(list(itertools.permutations(range(1, n + 1))))
+        perms, sizes = _orbits(n)
         inverted, cyclic = (mask.astype(float) for mask in concordance._incidence(perms))
-        for c, k in enumerate(_compositions(g, n, max(1, _SWEEP_ENTRIES // len(perms)))):
+        for k in _compositions(g, n, max(1, _SWEEP_ENTRIES // len(perms))):
             a_int, margins = concordance._ab(inverted, cyclic, k)
             margins /= g**3  # b, until theta is subtracted
             flat = margins <= _EQUALITY_TOL
@@ -252,40 +313,43 @@ def check_main_inequality(n_max: int = 6, grid_steps: int = 10) -> VerificationR
             values, inverse = np.unique(a_int[high], return_inverse=True)
             margins[high] -= theta(values / g**2)[inverse]
 
-            p, r = np.unravel_index(int(np.argmin(margins)), margins.shape)
-            worst = min(worst, (float(margins[p, r]), n, int(p), c, int(r), perms[p], k[r]))
+            least = float(margins.min())
+            if (least, n) <= worst[:2]:  # a tie at a larger n comes later
+                worst = min(worst, (least, n, *_first_keys(perms, k, *np.nonzero(margins == least), 1)[0]))
 
             eq = np.abs(margins) <= _EQUALITY_TOL
             flat &= eq
-            n_flat_eq += int(flat.sum())
+            n_flat_eq += int(sizes @ flat.sum(axis=1))
             p, r = np.nonzero(eq & ~flat)
             shaped = _prototype_shaped(perms[p], k[r])
-            n_prototype_eq += int(shaped.sum())
-            n_other += int((~shaped).sum())
-            others += [(n, i, c, j, perms[i], k[j]) for i, j in zip(p[~shaped][:5], r[~shaped][:5])]
+            n_prototype_eq += int(sizes[p[shaped]].sum())
+            n_other += int(sizes[p[~shaped]].sum())
+            if not shaped.all():
+                keys = _first_keys(perms, k, p[~shaped], r[~shaped], 5)
+                # images of entries in different blocks can coincide
+                others = sorted(set(others).union((n, *key) for key in keys))[:5]
 
             # Equality must hold at the prototype lattice points (r, ..., r, y),
-            # y <= r, of the decreasing permutation, the last in lex order;
-            # their margins come from the exact a and b above.
+            # y <= r, of the decreasing permutation, the last in lex order and
+            # alone in its orbit; their margins come from the exact a and b above.
             proto = np.all(k[:, :-1] == k[:, :1], axis=1) & (k[:, -1] <= k[:, 0])
             proto_dev = np.max(np.abs(margins[-1, proto]), initial=proto_dev)
             n_proto_points += int(proto.sum())
 
-    margin, n, *_, perm, k = worst
+    margin, n, perm, k = worst
     notes = (
         f"equality points: {n_prototype_eq} prototype-shaped, {n_flat_eq} flat "
         f"(b=0, theta=0), {n_other} unexpected; "
         f"{n_proto_points} prototype lattice points, max |margin| {proto_dev:.3e}"
     )
     if others:
-        first = sorted(others, key=lambda t: t[:4])[:5]
-        samples = [{"n": m, "perm": im.tolist(), "u": (kk / g).tolist()} for m, *_, im, kk in first]
+        samples = [{"n": m, "perm": list(im), "u": (np.array(kk) / g).tolist()} for m, im, kk in others]
         notes += "; unexpected samples: " + json.dumps(samples, sort_keys=True)
     return VerificationReport(
         check_name="main_inequality",
         instances_tested=cost,
         worst_margin=margin,
-        worst_witness=_witness(n=n, perm=perm.tolist(), u=(k / g).tolist(), margin=margin),
+        worst_witness=_witness(n=n, perm=list(perm), u=(np.array(k) / g).tolist(), margin=margin),
         passed=margin >= -_MAIN_TOL and proto_dev <= _EQUALITY_TOL,
         notes=notes,
     )
@@ -293,173 +357,77 @@ def check_main_inequality(n_max: int = 6, grid_steps: int = 10) -> VerificationR
 
 # --- minimizer structure --------------------------------------------------
 
-def _e3(u: np.ndarray) -> np.ndarray:
-    p1 = u.sum(-1)
-    p2 = (u * u).sum(-1)
-    p3 = (u**3).sum(-1)
-    return (p1**3 - 3.0 * p1 * p2 + 2.0 * p3) / 6.0
+def _level_minima(n: int, levels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The least e3 on each level set e2 = c2 of the n-simplex, c2 =
+    (n - 1) l / (2 n L) for l = 1..L, over its finite candidate set.
 
-
-def _project_to_level(u: np.ndarray, c2) -> np.ndarray:
-    """Exact blend of each row of ``u`` toward the centroid or a vertex so
-    e2 hits c2 (broadcast against the rows).
-
-    e2 along a straight segment of the simplex is quadratic in the blend
-    parameter, so the crossing is solved in closed form rather than
-    iterated.  A row already within 1e-15 of its level is returned as is.
+    On the level set, p1 = 1 and p2 = 1 - 2 c2 are fixed and e3 = (1 - 3 p2
+    + 2 p3) / 6, so a minimiser minimises p3.  On the face where it is
+    positive, Lagrange gives 3 u_i^2 = lambda + mu u_i, so its positive
+    entries take at most two values (u constant there is the case where
+    the constraints' gradients are dependent).  The candidates are k
+    entries x >= y on j entries, k, j >= 1, k + j = m <= n: with s = m p2 -
+    1 >= 0, x = (1 + sqrt(j s / k)) / m and y = (1 - sqrt(k s / j)) / m, and
+    y >= 0 iff k s <= j.  Both conditions are decided in integers, as
+    n L s = m (n L - (n - 1) l) - n L; at the top level s = 0 for m = n, so
+    the two roots there are the one point u = 1/n.  Returns c2 (L,), the
+    least candidates sorted descending (L, n), and their e3 (L,).
     """
-    n = u.shape[-1]
-    e2 = (u.sum(-1) ** 2 - (u * u).sum(-1)) / 2.0
-    v = np.where((e2 < c2)[..., None], 1.0 / n, np.arange(n) == 0)
-    # row-wise inner products, summed as u @ v sums one pair: a row projects as one point does
-    s_uu, s_uv, s_vv = (concordance._dot(x, y) for x, y in ((u, u), (u, v), (v, v)))
-    a = s_uu - 2.0 * s_uv + s_vv
-    b = 2.0 * (s_uv - s_uu)
-    c = s_uu - (1.0 - 2.0 * c2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        root = np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0))
-        r1, r2 = (-b - root) / (2.0 * a), (-b + root) / (2.0 * a)
-        in1, in2 = ((-1e-12 <= r) & (r <= 1.0 + 1e-12) for r in (r1, r2))
-        # the root inside [0, 1] nearer 0, else the root nearer 1/2; ties to r1
-        take2 = np.where(in1 == in2, np.where(in1, abs(r2) < abs(r1), abs(r2 - 0.5) < abs(r1 - 0.5)), in2)
-        alpha = np.where(a <= 1e-30, np.where(b != 0.0, -c / b, 0.0), np.where(take2, r2, r1))
-    alpha = np.minimum(1.0, np.maximum(0.0, alpha))[..., None]
-    w = np.maximum((1.0 - alpha) * u + alpha * v, 0.0)
-    return np.where((abs(e2 - c2) <= 1e-15)[..., None], u, w / w.sum(-1, keepdims=True))
-
-
-def _descend_on_level(u: np.ndarray, c2: np.ndarray, max_sweeps: int = 300):
-    """Coordinate descent for e3 on the slice {e2 = c2} of the simplex, for
-    every start (row of ``u``, level ``c2``) at once.
-
-    Steps follow the tangent directions (u_j - u_k, u_k - u_i, u_i - u_j)
-    placed on index triples, first + then -, both taken from the point at
-    the start of the triple.  Each step tries h = h_max * 2^-m, m < 40, all
-    at once, re-projected exactly onto the level set, and takes the first
-    that lowers e3 by more than 1e-15.  A start stops after a sweep with no
-    step.  Returns the points and which of them converged.
-    """
-    u = u.copy()
-    best = _e3(u)
-    active = np.ones(len(u), dtype=bool)
-    halvings = 2.0 ** -np.arange(40)
-    for _ in range(max_sweeps):
-        live = np.flatnonzero(active)
-        if not live.size:
-            break
-        pts, vals, lvl = u[live], best[live], c2[live, None]
-        improved = np.zeros(live.size, dtype=bool)
-        for i, j, k in itertools.combinations(range(u.shape[1]), 3):
-            delta = np.zeros_like(pts)
-            delta[:, [i, j, k]] = pts[:, [j, k, i]] - pts[:, [k, i, j]]
-            for signed in (delta, -delta):
-                neg = signed < 0.0
-                scale = abs(signed).max(axis=1)
-                with np.errstate(divide="ignore"):
-                    ratio = np.divide(pts, -signed, out=np.full_like(pts, np.inf), where=neg)
-                    h_max = np.where(neg.any(axis=1), ratio.min(axis=1), 1.0 / scale)
-                rows = np.flatnonzero((scale > 1e-14) & (h_max > 1e-14))
-                h = h_max[rows, None, None] * halvings[:, None]
-                trial = _project_to_level(np.maximum(pts[rows, None] + h * signed[rows, None], 0.0), lvl[rows])
-                e3 = _e3(trial)
-                lower = e3 < vals[rows, None] - 1e-15
-                hit = lower.any(axis=1)
-                first = lower[hit].argmax(axis=1)
-                rows = rows[hit]
-                pts[rows], vals[rows] = trial[hit, first], e3[hit, first]
-                improved[rows] = True
-        u[live], best[live] = pts, vals
-        active[live[~improved]] = False
-    return u, ~active
+    k, j = np.array([(a, m - a) for m in range(2, n + 1) for a in range(1, m)]).T
+    m = k + j
+    den = n * levels
+    lvl = np.arange(1, levels + 1)[:, None]
+    num = m * (den - (n - 1) * lvl) - den  # n L s
+    feasible = (num >= 0) & (k * num <= j * den)
+    s = np.maximum(num, 0) / den
+    x = (1.0 + np.sqrt(j * s / k)) / m
+    y = np.maximum((1.0 - np.sqrt(k * s / j)) / m, 0.0)
+    # e3 of k x's and j y's, C(k,3) x^3 + C(k,2) j x^2 y + k C(j,2) x y^2 + C(j,3) y^3: no cancellation
+    e3 = (k - 1) * k * x * x * ((k - 2) * x + 3 * j * y) + (j - 1) * j * y * y * ((j - 2) * y + 3 * k * x)
+    e3 /= 6
+    at = np.arange(levels), np.where(feasible, e3, np.inf).argmin(axis=1)
+    k, m, x, y = k[at[1], None], m[at[1], None], x[at][:, None], y[at][:, None]
+    place = np.arange(n)
+    points = np.where(place < k, x, np.where(place < m, y, 0.0))
+    return (n - 1) * lvl[:, 0] / (2 * den), points, e3[at]
 
 
 def check_minimizer_structure(n: int, levels: int = 4) -> VerificationReport:
     """The e3-minimizer on each e2 level set has prototype shape.
 
-    For the decreasing permutation (so a = e2 and b = e3) and a ladder of
-    level values, minimizes e3 over {u in the simplex : e2(u) = c2} from
-    the 455 lattice points k/12 and the analytic prototype seed, each
-    projected onto the level: on each level the up to 10 of these lowest
-    in e3 that differ after sorting (to 1e-9) are the starts.  One
-    coordinate descent runs all starts of all levels in lockstep.  It
-    then checks the best point of each level is, after sorting, (r, ...,
-    r, y, 0, ..., 0) with y <= r, and that its value agrees with
-    theta(c2).
+    For the decreasing permutation (so a = e2 and b = e3), on the levels
+    of ``_level_minima`` up to the top one, (1 - 1/n)/2, the least
+    candidate must be (r, ..., r, y, 0, ..., 0) with y <= r (its spread,
+    the gap between its two values when two or more entries hold the
+    smaller, is 0) and its e3 must equal theta(c2) to 1e-12.
     """
-    n = int(n)
-    levels = int(levels)
-    if n not in (3, 4):
-        raise ValueError(f"n must be 3 or 4, got {n}")
+    n, levels = _integer("n", n), _integer("levels", levels)
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
-
-    a_max = (1.0 - 1.0 / n) / 2.0
-    lattice = np.concatenate(list(_compositions(12, n, _SWEEP_ENTRIES))) / 12.0
-    c2s = [a_max * lvl / levels for lvl in range(1, levels + 1)]
-    starts, start_level = [], []
-    for lvl, c2 in enumerate(c2s):
-        seeds = lattice
-        # Analytic prototype seed: invert the prototype pair-weight formula.
-        proto = prototype_for_tau(1.0 - 4.0 * c2)
-        if proto.n <= n:
-            seed = np.zeros(n)
-            seed[: proto.n] = prototype_shuffle(proto).weights.u
-            seeds = np.vstack([lattice, seed])
-        candidates = _project_to_level(seeds, c2)
-        seen: set[tuple] = set()
-        for cand in candidates[np.argsort(_e3(candidates), kind="stable")]:
-            key = tuple(np.round(np.sort(cand), 9))
-            if key not in seen:
-                seen.add(key)
-                starts.append(cand)
-                start_level.append(lvl)
-            if len(seen) >= 10:
-                break
-    start_level = np.array(start_level)
-    finals, ok = _descend_on_level(np.array(starts), np.array(c2s)[start_level])
-    values = _e3(finals)
-
-    worst = math.inf
-    worst_info: dict = {}
-    notes_parts = []
-    all_converged = True
-    for lvl, c2 in enumerate(c2s):
-        (mine,) = np.nonzero(start_level == lvl)
-        pick = mine[np.argmin(values[mine])]
-        best_u, best_val, converged = finals[pick], float(values[pick]), bool(ok[pick])
-        all_converged = all_converged and converged
-
-        v = np.sort(best_u)[::-1]
-        m = int((v > _SHAPE_TOL).sum())
-        spread = float(v[0] - v[m - 2]) if m >= 2 else 0.0
-        tail = float(v[m:].max()) if m < n else 0.0
-        theta_dev = abs(best_val - theta(c2))
-        deviation = max(spread, tail, theta_dev)
-        if not converged:
-            deviation = math.inf
-        margin = -deviation
-        if margin < worst:
-            worst = margin
-            worst_info = {
-                "n": n,
-                "c2": c2,
-                "minimizer": [float(x) for x in best_u],
-                "e3": best_val,
-                "theta": theta(c2),
-            }
-        notes_parts.append(f"c2={c2:.6g}: spread={spread:.2e}, theta_dev={theta_dev:.2e}")
-
-    passed = worst >= -_SHAPE_TOL and all_converged
-    notes = "; ".join(notes_parts)
-    if not all_converged:
-        notes += "; WARNING: descent did not converge on some level"
+    cost = levels * n * (n - 1) // 2
+    if cost > _MINIMIZER_BUDGET:
+        raise ValueError(f"requested check needs {cost} candidates, over the budget of {_MINIMIZER_BUDGET}")
+    c2s, points, e3 = _level_minima(n, levels)
+    thetas = theta(c2s)
+    smallest = np.where(points > 0.0, points, np.inf).min(axis=1)
+    spreads = np.where((points == smallest[:, None]).sum(axis=1) >= 2, points[:, 0] - smallest, 0.0)
+    theta_devs = np.abs(e3 - thetas)
+    margins = -np.maximum(spreads, theta_devs)
+    i = int(np.argmin(margins))
     return VerificationReport(
         check_name="minimizer_structure",
         instances_tested=levels,
-        worst_margin=worst,
-        worst_witness=_witness(**worst_info),
-        passed=passed,
-        notes=notes,
+        worst_margin=margins[i],
+        worst_witness=_witness(
+            n=n, c2=float(c2s[i]), minimizer=points[i].tolist(), e3=float(e3[i]), theta=float(thetas[i])
+        ),
+        passed=margins[i] >= -_IDENTITY_TOL,
+        notes="; ".join(
+            f"c2={c2:.6g}: spread={spread:.2e}, theta_dev={dev:.2e}"
+            for c2, spread, dev in zip(c2s.tolist(), spreads.tolist(), theta_devs.tolist())
+        ),
     )
 
 
@@ -654,7 +622,7 @@ def check_almost_decreasing_classification(l_max: int) -> VerificationReport:
     decreasing up to inversion (the permutation or its inverse has at
     most one ascent).  Exhaustive over all permutations of length <= l_max,
     each length decided for all its permutations at once."""
-    l_max = int(l_max)
+    l_max = _integer("l_max", l_max)
     if not 1 <= l_max <= 8:
         raise ValueError(f"l_max must be in [1, 8], got {l_max}")
     instances = 0

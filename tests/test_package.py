@@ -1,6 +1,11 @@
 """The package's public surface: the union of its five layers' names."""
 
 import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import taurho
 
@@ -45,3 +50,22 @@ def test_all_is_the_layers_lists():
 
 def test_all_is_pinned():
     assert taurho.__all__ == PUBLIC_NAMES
+
+
+def test_import_does_no_check_work():
+    """A fresh ``import taurho`` fills none of the layers' caches: the
+    position tables, the pattern subsets and the main sweep's orbits are
+    built on first use, not at import."""
+    probe = (
+        "import json, taurho\n"
+        "caches = {f'{m}.{n}': f.cache_info().currsize for m in ('concordance', 'verify')\n"
+        "          for n, f in vars(getattr(taurho, m)).items() if hasattr(f, 'cache_info')}\n"
+        "print(json.dumps(caches))"
+    )
+    src = str(Path(taurho.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    caches = json.loads(proc.stdout)
+    assert {"concordance._positions", "verify._subsets", "verify._orbits"} <= set(caches)
+    assert all(size == 0 for size in caches.values()), caches

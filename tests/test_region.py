@@ -186,6 +186,25 @@ class TestPhi:
             mid = (a + b) / 2
             assert phi_boundary(mid) >= (phi_boundary(a) + phi_boundary(b)) / 2 - 1e-13
 
+    def test_concave_on_every_segment_exactly(self):
+        """Where excess = n(1 + x) - 2 > 0, segment n >= 3 of the code's
+        formula has d^2/dx^2 = -(3/4) coef n^2 excess^(-1/2), with coef =
+        (n - 2)/(sqrt(2) n^2 sqrt(n - 1)).  In sympy, the second derivative
+        over n^2 excess^(-1/2) is free of x, matches -(3/4) coef to float
+        precision and is negative for every n = m + 3, m >= 0; segment 2 is
+        linear."""
+        n, x = sp.symbols("n x")
+        m, e = sp.symbols("m e", positive=True)
+        phi = region._phi_segment_value(n, x, sp.sqrt, lambda excess, zero: excess)
+        second = sp.diff(phi, x, 2).subs(x, (e + 2) / n - 1)  # excess = e
+        ratio = sp.simplify(second * sp.sqrt(e) / n**2)
+        assert ratio.free_symbols == {n}
+        coef = (n - 2) / (sp.sqrt(2) * n**2 * sp.sqrt(n - 1))
+        for k in (3, 4, 10, 1000):
+            assert abs(ratio.subs(n, k) / (-sp.Rational(3, 4) * coef.subs(n, k)) - 1) <= 4 * 2.0**-52
+        assert sp.factor(ratio.subs(n, m + 3)).is_negative
+        assert sp.diff(phi.subs(n, 2), x, 2) == 0
+
     def test_scalar_and_array_agree(self):
         xs = np.linspace(-1, 1, 257)
         ys = phi_boundary(xs)
@@ -324,6 +343,16 @@ class TestScalarPath:
         ref = _zero_d_varphis(us)
         assert _same_bits(varphis, ref)
         assert _same_bits(thetas, us - 2.0 * ref)
+
+    def test_scalar_and_array_paths_are_bit_identical(self):
+        """phi_boundary, varphi and theta give the same bits on a float as on
+        an array, on 10^5 uniform inputs and the log grid down to the
+        corner: both paths take the 3/2 power as excess * sqrt(excess)."""
+        xs, us = (np.concatenate([_POINT_SETS["uniform"][i], _POINT_SETS["log grid"][i]]) for i in (0, 1))
+        xs, us = np.clip(xs, -1.0, 1.0), np.clip(us, 0.0, 0.5)
+        assert _same_bits([phi_boundary(x) for x in xs.tolist()], phi_boundary(xs))
+        for fn in (varphi, theta):
+            assert _same_bits([fn(u) for u in us.tolist()], fn(us))
 
     def test_numpy_scalars_and_0d_arrays_take_it(self):
         for x in (np.float64(-0.7), np.array(-0.7), np.float32(-0.7)):

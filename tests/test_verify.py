@@ -250,15 +250,22 @@ class TestMainInequality:
             got = classify(images, k)
             seen.append(got)
             assert got.tolist() == _reference_shapes(images, k)
+            weights.append([sizes[tuple(im)] for im in images.tolist()])
             return got
 
+        sizes = {}
+        for n in range(2, n_max + 1):
+            reps, counts = verify._orbits(n)
+            sizes.update(zip(map(tuple, reps.tolist()), counts.tolist()))
+        weights = []
         classify = verify._prototype_shaped
         monkeypatch.setattr(verify, "_prototype_shaped", spy)
         r = check_main_inequality(n_max, grid_steps)
         shaped, _, other, _ = _notes_counts(r.notes)
-        verdicts = np.concatenate(seen)
-        assert len(verdicts) == shaped + other > 1000
-        assert verdicts.sum() == shaped and other == 0
+        # each verdict stands for its permutation's whole orbit
+        verdicts, weights = np.concatenate(seen), np.concatenate(weights)
+        assert weights.sum() == shaped + other > 1000
+        assert weights[verdicts].sum() == shaped and other == 0
 
     def test_classifier_matches_canonicalize_on_random_rows(self):
         """Random lattice rows with zeros, n <= 7: half on random
@@ -310,6 +317,44 @@ class TestMainInequality:
                 b = sum((triple_terms[t] for t in sorted(data.triples)), np.full(len(k), Fraction(0)))
                 assert (a * g**2 == a_int[p]).all() and (b * g**3 == b_int[p]).all()
 
+    @pytest.mark.parametrize("n, count", [(2, 2), (3, 4), (4, 13), (5, 45), (6, 230), (7, 1388)])
+    def test_orbits_partition_the_permutations(self, n, count):
+        """The representatives are the lex-first members of disjoint orbits
+        that cover every permutation, with their sizes; the orbits are
+        closed under both maps, applied by hand."""
+        reps, sizes = verify._orbits(n)
+        assert len(reps) == count and sizes.sum() == math.factorial(n)
+        inverse = lambda p: tuple(sorted(range(1, n + 1), key=lambda i: p[i - 1]))
+        reverse_complement = lambda p: tuple(n + 1 - v for v in reversed(p))
+        covered = set()
+        for rep, size in zip(map(tuple, reps.tolist()), sizes.tolist()):
+            orbit = {rep, inverse(rep), reverse_complement(rep), reverse_complement(inverse(rep))}
+            assert min(orbit) == rep and len(orbit) == size and not orbit & covered
+            covered |= orbit
+        assert len(covered) == math.factorial(n)
+        assert reps.tolist() == sorted(reps.tolist())
+
+    def test_symmetries_keep_a_b_and_the_shape(self):
+        """Exhaustively for n <= 6 at g = 6: each of the four maps sends
+        every entry (permutation, k) to an entry with the same integer a*g^2
+        and b*g^3 and the same prototype-shape verdict."""
+        g = 6
+        for n in range(2, 7):
+            perms = np.array(list(itertools.permutations(range(1, n + 1))))
+            (k,) = verify._compositions(g, n, 10**6)
+            a, b = concordance._ab(*(m.astype(float) for m in concordance._incidence(perms)), k)
+            p, r = (v.ravel() for v in np.indices(a.shape))
+            shaped = verify._prototype_shaped(perms[p], k[r]).reshape(a.shape)
+            for images, ks in zip(*verify._symmetric_images(perms[p], k[r])):
+                # both tables are in lex order, so their base-(max + 1) codes increase
+                q, s = (
+                    np.searchsorted(table @ base ** np.arange(n)[::-1], rows @ base ** np.arange(n)[::-1])
+                    for table, rows, base in ((perms, images, n + 1), (k, ks, g + 1))
+                )
+                assert np.array_equal(perms[q], images) and np.array_equal(k[s], ks)
+                for table in (a, b, shaped):
+                    assert np.array_equal(table[q, s], table[p, r])
+
     def test_compositions_in_lex_order_and_blocks(self):
         for total, parts in [(0, 2), (5, 2), (4, 3), (6, 5)]:
             expect = [c for c in itertools.product(range(total + 1), repeat=parts) if sum(c) == total]
@@ -342,6 +387,27 @@ class TestMainInequality:
         assert _notes_counts(r.notes)[:3] == (0, 1488, len(expect))
         assert r.notes.endswith("unexpected samples: " + json.dumps(expect[:5], sort_keys=True))
         assert r.passed
+
+    @pytest.mark.parametrize("n_max, grid_steps, block", [(4, 8, 7), (5, 4, 3), (6, 3, 50)])
+    def test_unexpected_samples_are_distinct_across_blocks(self, monkeypatch, n_max, grid_steps, block):
+        """With every equality point declared unexpected, the five listed
+        are the first five distinct points in sweep order, as a loop over
+        all permutations finds them, though blocks meet the same point
+        through different representatives."""
+        monkeypatch.setattr(verify, "_prototype_shaped", lambda images, k: np.zeros(len(k), bool))
+        monkeypatch.setattr(verify, "_SWEEP_ENTRIES", block)
+        r = check_main_inequality(n_max, grid_steps)
+        expect = []
+        for n in range(2, n_max + 1):
+            perms = np.array(list(itertools.permutations(range(1, n + 1))))
+            (k,) = verify._compositions(grid_steps, n, 10**6)
+            a, b = concordance._ab(*(m.astype(float) for m in concordance._incidence(perms)), k)
+            a, b = a / grid_steps**2, b / grid_steps**3
+            margins = b - theta(np.minimum(a, 0.5))
+            p, q = np.nonzero((np.abs(margins) <= 1e-12) & (b > 1e-12))
+            expect += [{"n": n, "perm": perms[i].tolist(), "u": (k[j] / grid_steps).tolist()} for i, j in zip(p, q)]
+        assert _notes_counts(r.notes)[2] == len(expect) > 5
+        assert r.notes.endswith("unexpected samples: " + json.dumps(expect[:5], sort_keys=True))
 
     def test_seven_pieces_pinned(self):
         """The n = 7 sweep, counts as the canonicalize-based sweep found them."""
@@ -446,84 +512,226 @@ def _ref_descend_on_level(u, c2, max_sweeps=300):
     return u, False
 
 
-def _ref_minimizer_structure(n, levels):
-    """Reference: the check with one sequential descent per start."""
-    from taurho.realize import prototype_for_tau
+def _e3(u):
+    p1 = u.sum(-1)
+    p2 = (u * u).sum(-1)
+    p3 = (u**3).sum(-1)
+    return (p1**3 - 3.0 * p1 * p2 + 2.0 * p3) / 6.0
 
-    a_max = (1.0 - 1.0 / n) / 2.0
-    worst, worst_info, notes_parts, all_converged = math.inf, {}, [], True
-    seeds_raw = list(np.concatenate(list(verify._compositions(12, n, 10**6))) / 12.0)
-    for lvl in range(1, levels + 1):
-        c2 = a_max * lvl / levels
-        candidates = [_ref_project_to_level(s.copy(), c2) for s in seeds_raw]
+
+def _project_to_level(u, c2):
+    """Exact blend of each row of ``u`` toward the centroid or a vertex so
+    e2 hits c2 (broadcast against the rows).
+
+    e2 along a straight segment of the simplex is quadratic in the blend
+    parameter, so the crossing is solved in closed form rather than
+    iterated.  A row already within 1e-15 of its level is returned as is.
+    """
+    n = u.shape[-1]
+    e2 = (u.sum(-1) ** 2 - (u * u).sum(-1)) / 2.0
+    v = np.where((e2 < c2)[..., None], 1.0 / n, np.arange(n) == 0)
+    # row-wise inner products, summed as u @ v sums one pair: a row projects as one point does
+    s_uu, s_uv, s_vv = (concordance._dot(x, y) for x, y in ((u, u), (u, v), (v, v)))
+    a = s_uu - 2.0 * s_uv + s_vv
+    b = 2.0 * (s_uv - s_uu)
+    c = s_uu - (1.0 - 2.0 * c2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0))
+        r1, r2 = (-b - root) / (2.0 * a), (-b + root) / (2.0 * a)
+        in1, in2 = ((-1e-12 <= r) & (r <= 1.0 + 1e-12) for r in (r1, r2))
+        # the root inside [0, 1] nearer 0, else the root nearer 1/2; ties to r1
+        take2 = np.where(in1 == in2, np.where(in1, abs(r2) < abs(r1), abs(r2 - 0.5) < abs(r1 - 0.5)), in2)
+        alpha = np.where(a <= 1e-30, np.where(b != 0.0, -c / b, 0.0), np.where(take2, r2, r1))
+    alpha = np.minimum(1.0, np.maximum(0.0, alpha))[..., None]
+    w = np.maximum((1.0 - alpha) * u + alpha * v, 0.0)
+    return np.where((abs(e2 - c2) <= 1e-15)[..., None], u, w / w.sum(-1, keepdims=True))
+
+
+def _descend_on_level(u, c2, max_sweeps=300):
+    """Coordinate descent for e3 on the slice {e2 = c2} of the simplex, for
+    every start (row of ``u``, level ``c2``) at once.
+
+    Steps follow the tangent directions (u_j - u_k, u_k - u_i, u_i - u_j)
+    placed on index triples, first + then -, both taken from the point at
+    the start of the triple.  Each step tries h = h_max * 2^-m, m < 40, all
+    at once, re-projected exactly onto the level set, and takes the first
+    that lowers e3 by more than 1e-15.  A start stops after a sweep with no
+    step.  Returns the points and which of them converged.
+    """
+    u = u.copy()
+    best = _e3(u)
+    active = np.ones(len(u), dtype=bool)
+    halvings = 2.0 ** -np.arange(40)
+    for _ in range(max_sweeps):
+        live = np.flatnonzero(active)
+        if not live.size:
+            break
+        pts, vals, lvl = u[live], best[live], c2[live, None]
+        improved = np.zeros(live.size, dtype=bool)
+        for i, j, k in itertools.combinations(range(u.shape[1]), 3):
+            delta = np.zeros_like(pts)
+            delta[:, [i, j, k]] = pts[:, [j, k, i]] - pts[:, [k, i, j]]
+            for signed in (delta, -delta):
+                neg = signed < 0.0
+                scale = abs(signed).max(axis=1)
+                with np.errstate(divide="ignore"):
+                    ratio = np.divide(pts, -signed, out=np.full_like(pts, np.inf), where=neg)
+                    h_max = np.where(neg.any(axis=1), ratio.min(axis=1), 1.0 / scale)
+                rows = np.flatnonzero((scale > 1e-14) & (h_max > 1e-14))
+                h = h_max[rows, None, None] * halvings[:, None]
+                trial = _project_to_level(np.maximum(pts[rows, None] + h * signed[rows, None], 0.0), lvl[rows])
+                e3 = _e3(trial)
+                lower = e3 < vals[rows, None] - 1e-15
+                hit = lower.any(axis=1)
+                first = lower[hit].argmax(axis=1)
+                rows = rows[hit]
+                pts[rows], vals[rows] = trial[hit, first], e3[hit, first]
+                improved[rows] = True
+        u[live], best[live] = pts, vals
+        active[live[~improved]] = False
+    return u, ~active
+
+
+def _descent_minima(n, c2s):
+    """Reference: the least e3 that the lockstep descent finds on each
+    level.  It starts from the 455 lattice points k/12 and the analytic
+    prototype seed, each projected onto the level: the up to 10 of these
+    lowest in e3 that differ after sorting (to 1e-9).  Each final point
+    lies on its level, converged or not, so its e3 bounds the level's
+    least from above."""
+    from taurho.realize import prototype_for_tau, prototype_shuffle
+
+    lattice = np.concatenate(list(verify._compositions(12, n, 10**6))) / 12.0
+    starts, start_level = [], []
+    for lvl, c2 in enumerate(c2s):
+        seeds = lattice
         proto = prototype_for_tau(1.0 - 4.0 * c2)
         if proto.n <= n:
             seed = np.zeros(n)
-            seed[: proto.n - 1] = proto.r
-            seed[proto.n - 1] = max(0.0, 1.0 - (proto.n - 1) * proto.r)
-            candidates.append(_ref_project_to_level(seed, c2))
-        candidates.sort(key=_ref_e3)
-        best_u, best_val, converged = None, math.inf, True
-        seen, starts = set(), 0
-        for cand in candidates:
+            seed[: proto.n] = prototype_shuffle(proto).weights.u
+            seeds = np.vstack([lattice, seed])
+        candidates = _project_to_level(seeds, c2)
+        seen = set()
+        for cand in candidates[np.argsort(_e3(candidates), kind="stable")]:
             key = tuple(np.round(np.sort(cand), 9))
-            if key in seen:
-                continue
-            seen.add(key)
-            u_fin, ok = _ref_descend_on_level(cand, c2)
-            val = _ref_e3(u_fin)
-            if val < best_val:
-                best_u, best_val, converged = u_fin, val, ok
-            starts += 1
-            if starts >= 10:
+            if key not in seen:
+                seen.add(key)
+                starts.append(cand)
+                start_level.append(lvl)
+            if len(seen) >= 10:
                 break
-        all_converged = all_converged and converged
-        v = np.sort(best_u)[::-1]
-        m = int((v > 1e-6).sum())
-        spread = float(v[0] - v[m - 2]) if m >= 2 else 0.0
-        tail = float(v[m:].max()) if m < n else 0.0
-        theta_dev = abs(best_val - theta(min(c2, 0.5)))
-        margin = -max(spread, tail, theta_dev) if converged else -math.inf
-        if margin < worst:
-            worst = margin
-            worst_info = {
-                "n": n,
-                "c2": c2,
-                "minimizer": [float(x) for x in best_u],
-                "e3": best_val,
-                "theta": theta(min(c2, 0.5)),
-            }
-        notes_parts.append(f"c2={c2:.6g}: spread={spread:.2e}, theta_dev={theta_dev:.2e}")
-    notes = "; ".join(notes_parts)
-    if not all_converged:
-        notes += "; WARNING: descent did not converge on some level"
-    return VerificationReport(
-        check_name="minimizer_structure",
-        instances_tested=levels,
-        worst_margin=worst,
-        worst_witness=json.dumps(worst_info, sort_keys=True),
-        passed=worst >= -1e-6 and all_converged,
-        notes=notes,
-    )
+    start_level = np.array(start_level)
+    values = _e3(_descend_on_level(np.array(starts), np.asarray(c2s)[start_level])[0])
+    return np.array([values[start_level == lvl].min() for lvl in range(len(c2s))])
 
 
-def _level_notes(notes):
-    return re.findall(r"c2=([^:]+): spread=([^,]+), theta_dev=([^;]+)", notes)
+def _ref_level_minimum(n, c2):
+    """Reference: the least e3 that one sequential descent per start finds
+    on the level e2 = c2, from the starts of ``_descent_minima``."""
+    from taurho.realize import prototype_for_tau
+
+    lattice = np.concatenate(list(verify._compositions(12, n, 10**6))) / 12.0
+    candidates = [_ref_project_to_level(s, c2) for s in lattice]
+    proto = prototype_for_tau(1.0 - 4.0 * c2)
+    if proto.n <= n:
+        seed = np.zeros(n)
+        seed[: proto.n - 1] = proto.r
+        seed[proto.n - 1] = max(0.0, 1.0 - (proto.n - 1) * proto.r)
+        candidates.append(_ref_project_to_level(seed, c2))
+    best, seen = math.inf, set()
+    for cand in sorted(candidates, key=_ref_e3):
+        key = tuple(np.round(np.sort(cand), 9))
+        if key not in seen:
+            seen.add(key)
+            best = min(best, _ref_e3(_ref_descend_on_level(cand, c2)[0]))
+        if len(seen) >= 10:
+            return best
+    return best
+
+
+def _candidates_loop(n, c2):
+    """Every point with k entries x, j entries y and the rest 0 on the
+    level e2 = c2, solved one (k, j) at a time from the quadratic
+    k(k + j) x^2 - 2k x + 1 - j(1 - 2 c2) = 0, both roots, in floats."""
+    p2 = 1.0 - 2.0 * c2
+    points = []
+    for k in range(1, n + 1):
+        for j in range(0, n - k + 1):
+            disc = k * k - k * (k + j) * (1.0 - j * p2)
+            if disc < -1e-12:
+                continue
+            for sign in (1.0, -1.0):
+                x = (k + sign * math.sqrt(max(disc, 0.0))) / (k * (k + j))
+                y = (1.0 - k * x) / j if j else 0.0
+                u = np.array([x] * k + [y] * j + [0.0] * (n - k - j))
+                if u.min() >= -1e-12 and abs(_ref_e2(u) - c2) <= 1e-9:
+                    points.append(u)
+    return np.array(points)
 
 
 class TestMinimizer:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_no_worse_than_the_descent(self, n):
+        """For each ladder of 1, 2, 4 and 7 levels, the least candidate's
+        e3 is at most the descent's + 1e-15 and within 1e-15 of theta(c2)."""
+        for levels in (1, 2, 4, 7):
+            c2s, points, e3 = verify._level_minima(n, levels)
+            descent = _descent_minima(n, c2s)
+            assert np.all(e3 <= descent + 1e-15), (levels, e3 - descent)
+            assert np.all(np.abs(e3 - theta(c2s)) <= 1e-15), levels
+            assert check_minimizer_structure(n, levels).passed
+
     def test_three_pieces_match_the_sequential_reference(self):
-        assert check_minimizer_structure(3, 4) == _ref_minimizer_structure(3, 4)
+        c2s, _, e3 = verify._level_minima(3, 4)
+        assert np.all(e3 <= [_ref_level_minimum(3, c2) + 1e-15 for c2 in c2s])
 
     def test_four_pieces_match_the_sequential_reference(self):
-        got, ref = check_minimizer_structure(4, 4), _ref_minimizer_structure(4, 4)
-        assert got.passed == ref.passed
-        assert ("WARNING" in got.notes) == ("WARNING" in ref.notes)
-        got_levels, ref_levels = _level_notes(got.notes), _level_notes(ref.notes)
-        assert len(got_levels) == len(ref_levels) == 4
-        for (c2, spread, theta_dev), (c2_ref, spread_ref, theta_dev_ref) in zip(got_levels, ref_levels):
-            assert (c2, theta_dev) == (c2_ref, theta_dev_ref)
-            assert abs(float(spread) - float(spread_ref)) <= 1e-8
+        c2s, _, e3 = verify._level_minima(4, 4)
+        assert np.all(e3 <= [_ref_level_minimum(4, c2) + 1e-15 for c2 in c2s])
+
+    def test_least_candidate_is_the_least_of_the_loop(self):
+        """The vectorised candidate set has the least e3 of a loop that
+        solves each (k, j) quadratic for both roots in floats, and its
+        point lies on the level set of the simplex."""
+        for n in (2, 3, 5, 8, 12):
+            c2s, points, e3 = verify._level_minima(n, 7)
+            for c2, point, value in zip(c2s, points, e3):
+                loop = _candidates_loop(n, c2)
+                assert value <= _e3(loop).min() + 1e-15, (n, c2)
+                assert abs(point.sum() - 1.0) <= 1e-15 and point.min() >= 0.0
+                assert abs(_ref_e2(point) - c2) <= 1e-15 and abs(_ref_e3(point) - value) <= 1e-15
+                assert np.all(np.diff(point) <= 0.0)
+
+    def test_top_level_is_the_centroid(self):
+        """At c2 = (1 - 1/n)/2 the two roots merge: the least candidate is
+        u = 1/n exactly, with no spread."""
+        for n in range(2, 13):
+            c2s, points, e3 = verify._level_minima(n, 5)
+            assert c2s[-1] == (n - 1) / (2 * n)
+            assert np.all(points[-1] == 1.0 / n)
+        assert "spread=0.00e+00" in check_minimizer_structure(7, 1).notes
+
+    def test_every_size_passes_quickly(self):
+        for n in range(3, 13):
+            t0 = time.perf_counter()
+            r = check_minimizer_structure(n, 7)
+            elapsed = time.perf_counter() - t0
+            assert r.passed and r.instances_tested == 7, r.notes
+            assert elapsed < 0.01, (n, elapsed)
+
+    def test_reports_a_misshapen_minimiser(self, monkeypatch):
+        """A least candidate with two entries at its smaller value fails the
+        check, with the gap as its spread."""
+        def misshapen(n, levels):
+            c2s, points, e3 = level_minima(n, levels)
+            points[0] = [0.5, 0.25, 0.25, 0.0]
+            return c2s, points, e3
+
+        level_minima = verify._level_minima
+        monkeypatch.setattr(verify, "_level_minima", misshapen)
+        r = check_minimizer_structure(4, 2)
+        assert not r.passed and r.worst_margin == -0.25
+        assert r.notes.startswith("c2=0.1875: spread=2.50e-01")
 
     @pytest.mark.parametrize("n, max_sweeps", [(3, 300), (4, 300), (4, 2), (5, 4)])
     def test_lockstep_descent_matches_one_start_at_a_time(self, n, max_sweeps):
@@ -536,7 +744,7 @@ class TestMinimizer:
         u /= u.sum(axis=1, keepdims=True)
         c2 = a_max * rng.uniform(0.1, 1.0, 6)
         starts = np.array([_ref_project_to_level(s, c) for s, c in zip(u, c2)])
-        points, converged = verify._descend_on_level(starts, c2, max_sweeps)
+        points, converged = _descend_on_level(starts, c2, max_sweeps)
         for s, c, point, ok in zip(starts, c2, points, converged):
             ref_point, ref_ok = _ref_descend_on_level(s, c, max_sweeps)
             assert ok == ref_ok
@@ -554,7 +762,7 @@ class TestMinimizer:
             u /= u.sum(axis=1, keepdims=True)
             c2 = (1.0 - 1.0 / n) / 2.0 * rng.random(200)
             c2[:20] = [_ref_e2(row) for row in u[:20]]  # already on the level
-            got = verify._project_to_level(u, c2)
+            got = _project_to_level(u, c2)
             assert np.array_equal(got, [_ref_project_to_level(s, c) for s, c in zip(u, c2)])
 
     def test_structure_holds(self):
@@ -564,9 +772,50 @@ class TestMinimizer:
 
     def test_rejects_other_sizes(self):
         with pytest.raises(ValueError):
-            check_minimizer_structure(5, 4)
+            check_minimizer_structure(1, 4)
         with pytest.raises(ValueError):
             check_minimizer_structure(3, 0)
+        with pytest.raises(ValueError, match="over the budget"):
+            check_minimizer_structure(1500, 1)
+
+
+class TestIntegerArguments:
+    """Sizes and seeds must be integers: a bool or a non-integral value is
+    rejected with the argument's name, not truncated; numpy integers pass."""
+
+    def test_main_inequality(self):
+        for args, name in (((3.9, 4.5), "n_max"), ((3, 4.5), "grid_steps"), ((True, 4), "n_max")):
+            with pytest.raises(ValueError, match=f"^{name} "):
+                check_main_inequality(*args)
+        assert check_main_inequality(np.int64(3), np.int32(4)) == check_main_inequality(3, 4)
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            check_perturbation_identities,
+            check_triangle_inequality,
+            check_delta_construction,
+            check_swap_descent,
+        ],
+    )
+    def test_sampled_checks(self, check):
+        bad = (((True, 2.7), "samples"), ((5.0, 2), "samples"), ((5, 2.7), "seed"), ((5, False), "seed"))
+        for args, name in bad:
+            with pytest.raises(ValueError, match=f"^{name} "):
+                check(*args)
+        assert check(np.int16(5), np.uint8(2)) == check(5, 2)
+
+    def test_almost_decreasing_classification(self):
+        for value in (4.99, 4.0, True):
+            with pytest.raises(ValueError, match="^l_max "):
+                check_almost_decreasing_classification(value)
+        assert check_almost_decreasing_classification(np.int8(4)) == check_almost_decreasing_classification(4)
+
+    def test_minimizer_structure(self):
+        for args, name in (((3.5, True), "n"), ((3, True), "levels"), ((3, 2.0), "levels")):
+            with pytest.raises(ValueError, match=f"^{name} "):
+                check_minimizer_structure(*args)
+        assert check_minimizer_structure(np.int64(3), np.int64(2)) == check_minimizer_structure(3, 2)
 
 
 class TestSampledChecks:
