@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .shuffles import Permutation, RegionPoint, Shuffle, SimplexWeights, evaluate
+from .shuffles import Permutation, RegionPoint, Shuffle, SimplexWeights, _integer, evaluate
 
 __all__ = [
     "inv_invs",
@@ -311,7 +311,7 @@ def oracle_tau_rho(shuffle: Shuffle, grid_m: int = 2000) -> RegionPoint:
     matching stable sorting.  The error of either estimate decays like
     ``O(pieces / grid_m)``, so this is a cross-check, not an exact value.
     """
-    m = int(grid_m)
+    m = _integer("grid_m", grid_m)
     if m < 2:
         raise ValueError(f"grid_m must be >= 2, got {grid_m}")
     xs = (np.arange(m) + 0.5) / m

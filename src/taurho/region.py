@@ -36,7 +36,7 @@ import math
 
 import numpy as np
 
-from .shuffles import RegionPoint
+from .shuffles import RegionPoint, _integer
 
 __all__ = [
     "APERY",
@@ -146,8 +146,7 @@ def phi_boundary(x):
     Strictly increasing, with phi_boundary(-1) = -1 and
     phi_boundary(1) = 1; on [0, 1] it is the line -1/2 + 3x/2.  A 0-d
     input is evaluated in ``math`` and returns a float; an array goes
-    through numpy, whose ``power`` may differ from the scalar result by
-    1 ulp (it runs SIMD code on arrays).
+    through numpy, with the same bits.
     """
     x = _checked(x, -1.0, 1.0, "phi_boundary: argument outside [-1, 1]")
     return _phi_scalar(x) if isinstance(x, float) else _phi(x)
@@ -225,7 +224,7 @@ def classical_contains(p) -> bool:
 
 def boundary_samples(k: int) -> np.ndarray:
     """(k, 3) array of rows (tau, rho_lower, rho_upper), tau equispaced in [-1, 1]."""
-    k = int(k)
+    k = _integer("k", k)
     if k < 2:
         raise ValueError(f"boundary_samples: k must be >= 2, got {k}")
     taus = np.linspace(-1.0, 1.0, k)
@@ -277,6 +276,8 @@ def area_quadrature(tol: float) -> float:
     tol = float(tol)
     if not tol > 0.0:
         raise ValueError(f"area_quadrature: tol must be > 0, got {tol!r}")
+    if tol == math.inf:
+        raise ValueError(f"area_quadrature: tol must be finite, got {tol!r}")
     if tol < 1e-13:
         raise ValueError("area_quadrature: tol below 1e-13 exceeds float64 resolution")
     n_cut = math.ceil((12.0 / tol) ** 0.25)

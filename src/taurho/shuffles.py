@@ -67,6 +67,13 @@ def _entries(field: str, values, plain: type) -> tuple:
     return tuple(map(plain, values))
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a bool or a non-integral value raises
+    ``ValueError`` naming the argument."""
+    (value,) = _entries(name, (value,), int)
+    return value
+
+
 @dataclass(frozen=True)
 class Permutation:
     """A permutation of {1, ..., n} in one-line notation."""

@@ -13,17 +13,21 @@ a and b, counting each entry once per member of its orbit, and reports
 as the full sweep would.  The minimizer lemma is decided on its finite
 candidate set, which holds every minimiser by Lagrange.
 
-Everything is deterministic given (seed, parameters): random
-permutations come from an explicit Fisher-Yates driven by a PCG64
-generator, random weights from normalized standard exponentials, and all
-reductions are order-fixed min/max folds.
+Everything is deterministic given (seed, parameters), and all
+reductions are order-fixed min/max folds.  The sampled checks draw from
+a PCG64 generator one block of at most ``_SAMPLE_BLOCK`` samples at a
+time: first every sample's piece count n, then, for each n in ascending
+order, the simplex weights (normalized standard exponentials) and the
+check's own fields, each with one array call; permutations come from
+``Generator.permuted``, numpy's Fisher-Yates pass per row.  So the block
+size, which bounds the memory, also defines the stream.  Every registry
+and benchmark size (at most 1,000 samples) fits in one block of 1,024;
+the block size changes a report only above 1,024 samples.
 
-The sampled checks draw their samples one at a time, in order, and
-evaluate them in batches: the samples of one piece count n form one
-stack, and each product in it runs the BLAS call that one sample alone
-would run, so a report does not depend on the batching.  Blocks of at most
-``_SAMPLE_BLOCK`` draws bound the memory; the witness is the first sample
-in draw order that reaches the worst margin.
+The samples of one n form one stack, and each product in it runs the
+BLAS call that one sample alone would run, so a report does not depend
+on how a block is stacked.  The witness is the first sample in draw
+order that reaches the worst margin.
 """
 
 from __future__ import annotations
@@ -38,12 +42,10 @@ import numpy as np
 
 from . import concordance
 from .region import theta
-from .shuffles import Permutation, _entries
+from .shuffles import Permutation, _integer
 
 __all__ = [
     "VerificationReport",
-    "fisher_yates",
-    "random_simplex",
     "find_pattern",
     "check_main_inequality",
     "check_minimizer_structure",
@@ -89,13 +91,6 @@ class VerificationReport:
         return asdict(self)
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int; a bool or a non-integral value raises
-    ``ValueError`` naming the argument."""
-    (value,) = _entries(name, (value,), int)
-    return value
-
-
 def _seed(seed: int) -> int:
     seed = _integer("seed", seed)
     if seed < 0:
@@ -112,32 +107,24 @@ def _sampled(samples: int, seed: int) -> tuple[int, np.random.Generator]:
     return samples, np.random.Generator(np.random.PCG64(_seed(seed)))
 
 
-def _stacks(samples: int, rng: np.random.Generator, draw):
-    """Draw ``samples`` samples in order, each ``draw(rng)`` = (n, *fields),
-    and yield them stacked by n: (index, n, *fields), each field an array
-    with one row per sample and ``index`` their places in draw order.  Draws
-    go in blocks of at most ``_SAMPLE_BLOCK``, which bound the memory."""
+def _samples(samples: int, rng: np.random.Generator, n_min: int, draw):
+    """Draw ``samples`` samples with n in [n_min, 10] pieces and yield them
+    stacked by n: (index, n, u, *fields), each an array with one row per
+    sample and ``index`` their places in draw order.  A block of at most
+    ``_SAMPLE_BLOCK`` samples draws every n in one call, then, for each n
+    in ascending order, the weights u and ``draw(rng, count, n)``."""
     for start in range(0, samples, _SAMPLE_BLOCK):
-        block = [draw(rng) for _ in range(min(_SAMPLE_BLOCK, samples - start))]
-        sizes = np.array([sample[0] for sample in block])
-        for n in sorted(set(sizes.tolist())):
+        sizes = rng.integers(n_min, 11, size=min(_SAMPLE_BLOCK, samples - start))
+        for n in range(n_min, 11):
             (index,) = np.nonzero(sizes == n)
-            yield start + index, n, *(np.array(f) for f in zip(*(block[i][1:] for i in index)))
+            if len(index):
+                e = rng.standard_exponential((len(index), n))
+                yield start + index, n, e / e.sum(axis=1, keepdims=True), *draw(rng, len(index), n)
 
 
-def fisher_yates(rng: np.random.Generator, n: int) -> Permutation:
-    """Uniform random permutation by an explicit Fisher-Yates pass; its n - 1
-    swap positions come from one draw, the stream of n - 1 single draws."""
-    imgs = list(range(1, n + 1))
-    for i, j in zip(range(n - 1, 0, -1), rng.integers(0, np.arange(n, 1, -1)).tolist()):
-        imgs[i], imgs[j] = imgs[j], imgs[i]
-    return Permutation(tuple(imgs))
-
-
-def random_simplex(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Uniform point of the simplex via normalized standard exponentials."""
-    e = rng.standard_exponential(n)
-    return e / e.sum()
+def _permutations(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """``count`` uniform permutations of 1..n, one per row."""
+    return rng.permuted(np.broadcast_to(np.arange(1, n + 1), (count, n)), axis=1)
 
 
 @functools.lru_cache(maxsize=32)
@@ -433,14 +420,6 @@ def check_minimizer_structure(n: int, levels: int = 4) -> VerificationReport:
 
 # --- perturbation identities ----------------------------------------------
 
-def _draw_perturbation(rng: np.random.Generator):
-    n = int(rng.integers(2, 11))
-    perm = fisher_yates(rng, n)
-    u = random_simplex(rng, n)
-    d = rng.standard_normal(n)
-    return n, perm.images, u, d, rng.uniform(-1.0, 1.0)
-
-
 def check_perturbation_identities(samples: int, seed: int) -> VerificationReport:
     """a and b along u + t*delta match their finite Taylor forms exactly.
 
@@ -450,7 +429,10 @@ def check_perturbation_identities(samples: int, seed: int) -> VerificationReport
     """
     samples, rng = _sampled(samples, seed)
     worst = (math.inf, -1, {})  # (margin, draw index, witness)
-    for index, n, images, u, d, t in _stacks(samples, rng, _draw_perturbation):
+    draw = lambda rng, count, n: (
+        _permutations(rng, count, n), rng.standard_normal((count, n)), rng.uniform(-1.0, 1.0, count)
+    )
+    for index, n, u, images, d, t in _samples(samples, rng, 2, draw):
         d -= d.mean(axis=1, keepdims=True)
         scale = np.abs(d).max(axis=1, keepdims=True)
         np.divide(d, scale, out=d, where=scale > 0.0)
@@ -492,21 +474,14 @@ def check_perturbation_identities(samples: int, seed: int) -> VerificationReport
 
 # --- triangle inequality for the c coefficients ---------------------------
 
-def _draw_weighted(rng: np.random.Generator):
-    """A sample of the triangle and delta checks: n in 3..10, a permutation
-    and a simplex point."""
-    n = int(rng.integers(3, 11))
-    perm = fisher_yates(rng, n)
-    return n, perm.images, random_simplex(rng, n)
-
-
 def check_triangle_inequality(samples: int, seed: int) -> VerificationReport:
     """c[p,r] + c[q,r] >= c[p,q] >= 0 whenever {p,q,r} is not a descent triple."""
     samples, rng = _sampled(samples, seed)
     worst = (math.inf, -1, {})  # (margin, draw index, witness)
     qualifying = 0
     vacuous = 0
-    for index, n, images, u in _stacks(samples, rng, _draw_weighted):
+    draw = lambda rng, count, n: (_permutations(rng, count, n),)
+    for index, n, u, images in _samples(samples, rng, 3, draw):
         triple_ten = concordance._tensors(*concordance._incidence(images), n)[1]
         c = concordance._matvec(triple_ten, u)
         # (p, q, r) over the lex-ordered pairs p < q (rows) and every r
@@ -558,7 +533,8 @@ def check_delta_construction(samples: int, seed: int) -> VerificationReport:
     tested = 0
     used_i = 0
     used_ii = 0
-    for index, n, images, u in _stacks(samples, rng, _draw_weighted):
+    draw = lambda rng, count, n: (_permutations(rng, count, n),)
+    for index, n, u, images in _samples(samples, rng, 3, draw):
         pair_mat, triple_ten = concordance._tensors(*concordance._incidence(images), n)
         a_vec = concordance._matvec(pair_mat, u)
         found_i, hit_i = _first_occurrence(images, (1, 2, 3))
@@ -656,12 +632,6 @@ def check_almost_decreasing_classification(l_max: int) -> VerificationReport:
 
 # --- swap descent ---------------------------------------------------------
 
-def _draw_swap(rng: np.random.Generator):
-    n = int(rng.integers(3, 11))
-    in_a = rng.integers(0, 2, size=n - 2) == 1  # does value 2, ..., n - 1 join 1 in block A
-    return n, in_a, random_simplex(rng, n)
-
-
 def check_swap_descent(samples: int, seed: int) -> VerificationReport:
     """Swapping the pieces holding values 1 and n changes (a, b) by the
     closed forms u_k*u_{k+1} and -u_k*u_{k+1}*(sum of the other weights),
@@ -675,7 +645,9 @@ def check_swap_descent(samples: int, seed: int) -> VerificationReport:
     samples, rng = _sampled(samples, seed)
     worst = (math.inf, -1, {})  # (margin, draw index, witness)
     min_decrease = math.inf
-    for index, n, in_a, u in _stacks(samples, rng, _draw_swap):
+    # does value 2, ..., n - 1 join 1 in block A
+    draw = lambda rng, count, n: (rng.integers(0, 2, size=(count, n - 2)) == 1,)
+    for index, n, u, in_a in _samples(samples, rng, 3, draw):
         rows = np.arange(len(u))[:, None]
         in_a = np.column_stack([np.ones(len(u), bool), in_a, np.zeros(len(u), bool)])
         # block A (the values in_a) decreasing, then block B decreasing

@@ -3,8 +3,23 @@ import itertools
 import numpy as np
 import pytest
 
-from taurho import fisher_yates, make_shuffle, random_simplex
+from taurho import Permutation, make_shuffle
 from taurho.concordance import _positions
+
+
+def fisher_yates(rng: np.random.Generator, n: int) -> Permutation:
+    """Uniform random permutation by an explicit Fisher-Yates pass; its n - 1
+    swap positions come from one draw, the stream of n - 1 single draws."""
+    imgs = list(range(1, n + 1))
+    for i, j in zip(range(n - 1, 0, -1), rng.integers(0, np.arange(n, 1, -1)).tolist()):
+        imgs[i], imgs[j] = imgs[j], imgs[i]
+    return Permutation(tuple(imgs))
+
+
+def random_simplex(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Uniform point of the simplex via normalized standard exponentials."""
+    e = rng.standard_exponential(n)
+    return e / e.sum()
 
 
 def random_shuffle(rng, n_max=10, mixed_signs=True, n_min=2):

@@ -158,6 +158,12 @@ class TestArea:
         assert run(["area", "--tol", "nan"]) == 2
         assert "tol must be > 0, got nan" in capsys.readouterr().err
 
+    def test_infinite_tol_is_exit_2(self, capsys):
+        assert run(["area", "--tol", "inf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "tol must be finite, got inf" in captured.err
+
 
 class TestVerify:
     def test_single_check(self, capsys):

@@ -276,6 +276,14 @@ class TestOracle:
         with pytest.raises(ValueError):
             oracle_tau_rho(four_segment, grid_m=1)
 
+    def test_grid_must_be_an_integer(self, four_segment):
+        """A bool or a non-integral grid_m is rejected by name, not
+        truncated; numpy integers pass."""
+        for m in (2.5, 100.0, True):
+            with pytest.raises(ValueError, match="^grid_m "):
+                oracle_tau_rho(four_segment, grid_m=m)
+        assert oracle_tau_rho(four_segment, grid_m=np.int32(100)) == oracle_tau_rho(four_segment, grid_m=100)
+
     def test_agreement_on_mixed_sign_shuffles(self, rng):
         for _ in range(25):
             sh = random_shuffle(rng, n_max=8)

@@ -30,7 +30,7 @@ PUBLIC_NAMES = [
     "TargetOutsideRegion", "prototype_for_tau", "prototype_shuffle", "boundary_curve",
     "realize",
     # verify
-    "VerificationReport", "fisher_yates", "random_simplex", "find_pattern",
+    "VerificationReport", "find_pattern",
     "check_main_inequality", "check_minimizer_structure", "check_perturbation_identities",
     "check_triangle_inequality", "check_delta_construction",
     "check_almost_decreasing_classification", "check_swap_descent", "CHECKS",

@@ -205,6 +205,31 @@ class TestPhi:
         assert sp.factor(ratio.subs(n, m + 3)).is_negative
         assert sp.diff(phi.subs(n, 2), x, 2) == 0
 
+    def test_below_the_diagonal_exactly(self):
+        """Phi(x) < x < -Phi(-x) on (-1, 1), so the lower boundary stays
+        below the upper one except at the corners.  On segment n, on
+        [-1 + 2/n, -1 + 2/(n - 1)], the code's formula is a line l_n minus
+        coef * excess^(3/2) with coef >= 0, so Phi <= l_n there; l_n(x) - x
+        is linear, -2(n - 1)/n^2 at the left end and -4/n^2 + 2(3 - n)/(n(n -
+        1)) at the right end, negative except at the right end of segment 2,
+        x = 1.  So Phi(x) < x, and -Phi(-x) > x, for x in (-1, 1).  Decided in
+        sympy on ``_phi_segment_value``, its float constants made rational
+        (1/sqrt(2) to 15 digits, a positive factor of coef)."""
+        n, x = sp.symbols("n x")
+        m = sp.Symbol("m", integer=True, nonnegative=True)
+        e = sp.Symbol("e", positive=True)  # the excess
+        phi = sp.nsimplify(region._phi_segment_value(n, x, sp.sqrt, lambda excess, zero: e), rational=True)
+        line = phi.subs(e, 0)
+        coef = sp.simplify((line - phi) / e ** sp.Rational(3, 2))
+        assert coef.free_symbols == {n}
+        assert sp.factor(coef.subs(n, m + 2)).is_nonnegative
+        left = sp.simplify(line.subs(x, -1 + 2 / n) - (-1 + 2 / n))
+        right = sp.simplify(line.subs(x, -1 + 2 / (n - 1)) - (-1 + 2 / (n - 1)))
+        assert sp.simplify(left + 2 * (n - 1) / n**2) == 0
+        assert sp.simplify(right - (-4 / n**2 + 2 * (3 - n) / (n * (n - 1)))) == 0
+        assert sp.factor(left.subs(n, m + 2)).is_negative
+        assert right.subs(n, 2) == 0 and sp.factor(right.subs(n, m + 3)).is_negative
+
     def test_scalar_and_array_agree(self):
         xs = np.linspace(-1, 1, 257)
         ys = phi_boundary(xs)
@@ -504,6 +529,14 @@ class TestBoundarySamples:
         with pytest.raises(ValueError):
             boundary_samples(1)
 
+    def test_k_must_be_an_integer(self):
+        """A bool or a non-integral k is rejected by name, not truncated;
+        numpy integers pass."""
+        for k in (2.9, 3.0, True):
+            with pytest.raises(ValueError, match="^k "):
+                boundary_samples(k)
+        assert np.array_equal(boundary_samples(np.int64(5)), boundary_samples(5))
+
 
 class TestArea:
     def test_closed_form_value(self):
@@ -532,6 +565,10 @@ class TestArea:
             area_quadrature(math.nan)
         with pytest.raises(ValueError, match="tol must be > 0, got nan"):
             classical_area_quadrature(math.nan)
+
+    def test_infinite_tol_is_rejected(self):
+        with pytest.raises(ValueError, match="tol must be finite, got inf"):
+            area_quadrature(math.inf)
 
     def test_classical_area_is_seven_sixths(self):
         assert abs(classical_area_quadrature(1e-10) - 7 / 6) <= 1e-15

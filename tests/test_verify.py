@@ -1,5 +1,6 @@
 """The check battery itself: reports, helpers, determinism, and small runs."""
 
+import collections
 import itertools
 import json
 import math
@@ -26,13 +27,11 @@ from taurho import (
     check_swap_descent,
     check_triangle_inequality,
     find_pattern,
-    fisher_yates,
     inversion_data,
     make_shuffle,
-    random_simplex,
     theta,
 )
-from conftest import coeffs_one, random_shuffle, tensors_loop
+from conftest import coeffs_one, fisher_yates, random_shuffle, random_simplex, tensors_loop
 
 
 def _rng(seed=0):
@@ -879,16 +878,73 @@ class TestSampledChecks:
 
 
 # --- per-sample references for the sampled checks --------------------------
-# The checks as they ran before they were batched: one sample at a time, each
-# with its own BLAS calls, Fisher-Yates swaps and block bits one draw each,
-# and pattern occurrences found by a scan of the position tuples.
+# The checks one sample at a time: ``_drawn`` draws the checks' blocks and
+# hands the samples out in draw order; each is then evaluated with its own
+# BLAS calls, and pattern occurrences are found by a scan of the position
+# tuples.
 
-def _fisher_yates_loop(rng, n):
-    imgs = list(range(1, n + 1))
-    for i in range(n - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
-        imgs[i], imgs[j] = imgs[j], imgs[i]
-    return Permutation(tuple(imgs))
+_BLOCK = 1 << 10  # the checks' block, ``verify._SAMPLE_BLOCK``
+
+
+# (n, perm) of the first five of 50 samples at seed 0, per draw kind
+_PINNED_STREAMS = {
+    "perturbation": [
+        (9, [8, 9, 3, 2, 7, 1, 6, 4, 5]), (7, [3, 1, 6, 2, 4, 5, 7]), (6, [1, 5, 6, 3, 2, 4]),
+        (4, [2, 1, 4, 3]), (4, [1, 2, 4, 3]),
+    ],
+    "weighted": [
+        (9, [2, 6, 9, 4, 1, 5, 8, 3, 7]), (8, [6, 8, 3, 7, 1, 4, 2, 5]), (7, [1, 7, 6, 2, 3, 5, 4]),
+        (5, [2, 1, 3, 5, 4]), (5, [4, 1, 5, 3, 2]),
+    ],
+    "swap": [
+        (9, [8, 7, 5, 4, 3, 2, 1, 9, 6]), (8, [7, 6, 5, 1, 8, 4, 3, 2]), (7, [4, 3, 2, 1, 7, 6, 5]),
+        (5, [2, 1, 5, 4, 3]), (5, [3, 2, 1, 5, 4]),
+    ],
+}
+
+
+def _drawn(samples, seed, n_min, fields, block=_BLOCK):
+    """A sampled check's samples at ``seed`` in draw order, each (n, u,
+    *fields): per block, every n in [n_min, 10] in one draw, then per n in
+    ascending order the weights, each row normalized alone, and
+    ``fields(rng, count, n)``."""
+    rng = _rng(seed)
+    for start in range(0, samples, block):
+        sizes = rng.integers(n_min, 11, size=min(block, samples - start)).tolist()
+        rows = {}
+        for n in range(n_min, 11):
+            if sizes.count(n):
+                e = rng.standard_exponential((sizes.count(n), n))
+                rows[n] = zip([row / row.sum() for row in e], *fields(rng, sizes.count(n), n))
+        for n in sizes:
+            yield (n, *next(rows[n]))
+
+
+def _permuted(rng, count, n):
+    return rng.permuted(np.tile(np.arange(1, n + 1), (count, 1)), axis=1)
+
+
+def _perturbation_fields(rng, count, n):
+    """A permutation, a direction and a random t per sample."""
+    return _permuted(rng, count, n), rng.standard_normal((count, n)), rng.uniform(-1.0, 1.0, count)
+
+
+def _permutation_fields(rng, count, n):
+    """The triangle and delta checks' samples: a permutation each."""
+    return (_permuted(rng, count, n),)
+
+
+def _swap_fields(rng, count, n):
+    """One fair bit per value 2..n-1 (1: it joins 1 in block A)."""
+    return (rng.integers(0, 2, size=(count, n - 2)),)
+
+
+def _swap_permutation(n, bits):
+    """Block A, 1 and the values whose bit is 1, decreasing, then block B,
+    the rest, decreasing."""
+    block_a = sorted([1] + [v for v, bit in zip(range(2, n), bits.tolist()) if bit == 1], reverse=True)
+    block_b = sorted(set(range(1, n + 1)) - set(block_a), reverse=True)
+    return Permutation(tuple(block_a + block_b))
 
 
 def _find_pattern_loop(perm, pattern):
@@ -910,22 +966,18 @@ def _ab_loop(perm, rows):
     return inverted @ rows.T[pairs].prod(0), cyclic @ rows.T[triples].prod(0)
 
 
-def _perturbation_loop(samples, seed):
-    rng = _rng(seed)
+def _perturbation_loop(samples, seed, block=_BLOCK):
     worst = math.inf
     worst_info: dict = {}
-    for _ in range(samples):
-        n = int(rng.integers(2, 11))
-        perm = _fisher_yates_loop(rng, n)
-        u = random_simplex(rng, n)
-        d = rng.standard_normal(n)
+    for n, u, images, d, t in _drawn(samples, seed, 2, _perturbation_fields, block):
+        perm = Permutation(tuple(images.tolist()))
         d -= d.mean()
         scale = float(np.max(np.abs(d)))
         if scale > 0.0:
             d /= scale
         d -= d.mean()
         coeffs = coeffs_one(*tensors_loop(*concordance._incidence(perm.images), n), u, d)
-        ts = np.array([0.5, -0.5, 1.0 / 7.0, -1.0 / 7.0, float(rng.uniform(-1.0, 1.0))])
+        ts = np.array([0.5, -0.5, 1.0 / 7.0, -1.0 / 7.0, float(t)])
         a, b = _ab_loop(perm, np.vstack([u, u + ts[:, None] * d]))
         lhs = np.array([a[1:] - a[0], b[1:] - b[0]])
         rhs = np.array([
@@ -954,16 +1006,13 @@ def _perturbation_loop(samples, seed):
     )
 
 
-def _triangle_loop(samples, seed):
-    rng = _rng(seed)
+def _triangle_loop(samples, seed, block=_BLOCK):
     worst = math.inf
     worst_info: dict = {}
     qualifying = 0
     vacuous = 0
-    for _ in range(samples):
-        n = int(rng.integers(3, 11))
-        perm = _fisher_yates_loop(rng, n)
-        u = random_simplex(rng, n)
+    for n, u, images in _drawn(samples, seed, 3, _permutation_fields, block):
+        perm = Permutation(tuple(images.tolist()))
         triple_ten = tensors_loop(*concordance._incidence(perm.images), n)[1]
         c = triple_ten @ u
         p, q = concordance._positions(n)[0]
@@ -998,15 +1047,12 @@ def _triangle_loop(samples, seed):
     )
 
 
-def _delta_loop(samples, seed):
-    rng = _rng(seed)
+def _delta_loop(samples, seed, block=_BLOCK):
     worst = math.inf
     worst_info: dict = {}
     tested = skipped = used_i = used_ii = 0
-    for _ in range(samples):
-        n = int(rng.integers(3, 11))
-        perm = _fisher_yates_loop(rng, n)
-        u = random_simplex(rng, n)
+    for n, u, images in _drawn(samples, seed, 3, _permutation_fields, block):
+        perm = Permutation(tuple(images.tolist()))
         pair_mat, triple_ten = tensors_loop(*concordance._incidence(perm.images), n)
         a_vec = pair_mat @ u
         d = np.zeros(n)
@@ -1058,24 +1104,13 @@ def _delta_loop(samples, seed):
     )
 
 
-def _swap_blocks_loop(rng):
-    """n, then one fair bit per value 2..n-1 (1: it joins 1 in block A)."""
-    n = int(rng.integers(3, 11))
-    return n, [v for v in range(2, n) if rng.integers(0, 2) == 1]
-
-
-def _swap_descent_loop(samples, seed):
-    rng = _rng(seed)
+def _swap_descent_loop(samples, seed, block=_BLOCK):
     worst = math.inf
     worst_info: dict = {}
     min_decrease = math.inf
-    for _ in range(samples):
-        n, rest = _swap_blocks_loop(rng)
-        block_a = sorted(rest + [1], reverse=True)
-        block_b = sorted(set(range(1, n + 1)) - set(block_a), reverse=True)
-        perm = Permutation(tuple(block_a + block_b))
-        u = random_simplex(rng, n)
-        k = len(block_a)
+    for n, u, bits in _drawn(samples, seed, 3, _swap_fields, block):
+        perm = _swap_permutation(n, bits)
+        k = 1 + int(bits.sum())  # the size of block A
         structural_ok = perm(k) == 1 and perm(k + 1) == n and perm(1) != n and perm(n) != 1
         imgs = list(perm.images)
         imgs[k - 1], imgs[k] = imgs[k], imgs[k - 1]
@@ -1151,13 +1186,12 @@ class TestBatchedSamples:
         _assert_same_report(got, _SAMPLED[check](samples, 0))
 
     @pytest.mark.parametrize("check", list(_SAMPLED), ids=lambda f: f.__name__)
-    def test_block_size_does_not_change_the_report(self, monkeypatch, check):
-        """One sample per block, blocks that split the draws unevenly, and the
-        default block give one report."""
-        full = [check(60, seed) for seed in (2, 5)]
-        for block in (1, 7):
-            monkeypatch.setattr(verify, "_SAMPLE_BLOCK", block)
-            assert [check(60, seed) for seed in (2, 5)] == full
+    def test_blocks_of_seven_match_the_loop(self, monkeypatch, check):
+        """60 samples in blocks of 7, the last one short: the report of the
+        loop drawing the same blocks."""
+        monkeypatch.setattr(verify, "_SAMPLE_BLOCK", 7)
+        for seed in (2, 5):
+            _assert_same_report(check(60, seed), _SAMPLED[check](60, seed, block=7))
 
     def test_blocks_bound_the_memory(self, monkeypatch):
         """The block size, not the sample count, sets the peak: 1,000
@@ -1174,20 +1208,32 @@ class TestBatchedSamples:
                 tracemalloc.stop()
         assert peaks[0] < 2**19 < 2**21 < peaks[1]
 
-    def test_draws_keep_the_stream(self):
-        """One array draw gives the Fisher-Yates swaps and the swap check's
-        block bits of the one-at-a-time draws, for n = 1..12 and 300 seeds,
-        and leaves the generator where they leave it."""
-        for seed in range(300):
-            rng, ref = _rng(seed), _rng(seed)
-            for n in range(1, 13):
-                assert fisher_yates(rng, n) == _fisher_yates_loop(ref, n)
-                n_swap, in_a, u = verify._draw_swap(rng)
-                want_n, rest = _swap_blocks_loop(ref)
-                assert n_swap == want_n
-                assert [v for v, bit in zip(range(2, n_swap), in_a) if bit] == rest
-                assert np.array_equal(u, random_simplex(ref, n_swap))
-            assert np.array_equal(rng.standard_exponential(4), ref.standard_exponential(4))
+    def test_permutations_and_weights(self):
+        """6,000 permutations of 3 reach each of the six 800-1,200 times;
+        the weights are positive, each row sums to 1 within 1e-12, and the
+        stacks hold every sample once."""
+        counts = collections.Counter(map(tuple, verify._permutations(_rng(0), 6000, 3).tolist()))
+        assert len(counts) == 6 and all(800 <= c <= 1200 for c in counts.values()), counts
+        seen = []
+        for index, n, u in verify._samples(6000, _rng(1), 2, lambda rng, count, n: ()):
+            assert u.shape == (len(index), n) and np.all(u > 0.0)
+            assert np.abs(u.sum(axis=1) - 1.0).max() <= 1e-12
+            seen += index.tolist()
+        assert sorted(seen) == list(range(6000))
+
+    def test_streams_are_pinned(self):
+        """(n, perm) of the first five of 50 samples at seed 0, per draw kind;
+        the checks draw as ``_drawn`` does, so a change of their stream
+        shows here."""
+        def first(n_min, fields):
+            return list(itertools.islice(_drawn(50, 0, n_min, fields), 5))
+
+        got = {
+            "perturbation": [(n, images.tolist()) for n, _, images, *_ in first(2, _perturbation_fields)],
+            "weighted": [(n, images.tolist()) for n, _, images in first(3, _permutation_fields)],
+            "swap": [(n, list(_swap_permutation(n, bits).images)) for n, _, bits in first(3, _swap_fields)],
+        }
+        assert got == _PINNED_STREAMS
 
 
 class TestRegistry:
