@@ -7,7 +7,9 @@ pulling toward (1, 1) with an ordinal sum: tau scales as 1-(1-s)^2(1-tau)
 and rho as 1-(1-s)^3(1-rho), so for a fixed curve point the parameter s
 is determined by the tau coordinate alone and the remaining rho residual
 is a one-dimensional root-finding problem in t.  The search works
-entirely on closed forms (no shuffles are built until the root is found).
+entirely on closed forms (no shuffles are built until the root is found),
+and so does the certificate's residual, which the tests hold to the
+witness's measured ``tau_rho`` within 1e-12.
 
 Only the lower half is searched.  The ordinal sums of the flip, gamma(0),
 trace the flip curve F(x) = 1 - 2((1-x)/2)^1.5; a target above F is
@@ -37,8 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .concordance import tau_rho
-from .region import phi_boundary, segment_index
+from .region import _phi_scalar, phi_boundary, segment_index
 from .shuffles import (
     RegionPoint,
     Shuffle,
@@ -108,7 +109,9 @@ class HomotopyPoint:
     near-flip wedge solved exactly for the target.  For a target above
     the flip curve the shuffle is the flip of the lower-half solution for
     (-x, -y): s is that solution's share and t = (3 + v)/4 the curve
-    parameter of its flipped base point.
+    parameter of its flipped base point.  The residual is the distance
+    from the original target of the witness's closed-form (tau, rho); the
+    tests hold it to within 1e-12 of the measured distance.
     """
 
     s: float
@@ -175,8 +178,7 @@ def boundary_curve(t: float) -> tuple[Shuffle, RegionPoint]:
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"boundary_curve: t={t!r} outside [0, 1]")
     if t == 0.0 or t == 1.0:
-        sh = flip_shuffle()
-        return sh, tau_rho(sh)
+        return flip_shuffle(), RegionPoint(-1.0, -1.0)
     x = 4.0 * t - 1.0 if t <= 0.5 else 4.0 * t - 3.0
     if x < -1.0 + 2.0 / _CURVE_N_GUARD:
         raise ValueError(
@@ -203,8 +205,10 @@ def _rho_scaled(x: float, tau_c, rho_c):
 
 
 def _g_lower(x: float, y: float, t: float) -> float:
+    """g at t in [0, (1+x)/4], where 4t - 1 lies in [-1, x] (in [-1, 1] after
+    rounding 1 + x), so ``_phi_scalar`` gives ``phi_boundary``'s bits unchecked."""
     tau_c = 4.0 * t - 1.0
-    return _rho_scaled(x, tau_c, phi_boundary(tau_c)) - y
+    return _rho_scaled(x, tau_c, _phi_scalar(tau_c)) - y
 
 
 def _bisect(g, a: float, b: float) -> float:
@@ -232,11 +236,13 @@ def _wedge_shuffle(w: float) -> Shuffle:
     return make_shuffle((2, 1), (1.0 - w, w), (-1, 1))
 
 
+def _wedge_point(w: float) -> tuple[float, float]:
+    return -1.0 + 2.0 * w * w, -1.0 + 2.0 * w**3
+
+
 def _solve_wedge(x: float, y: float) -> float | None:
     def achieved(w):
-        tau_c = -1.0 + 2.0 * w * w
-        rho_c = -1.0 + 2.0 * w**3
-        return _rho_scaled(x, tau_c, rho_c) - y
+        return _rho_scaled(x, *_wedge_point(w)) - y
 
     w_hi = min(math.sqrt(max(1.0 + x, 0.0) / 2.0), 1.0 - 1e-9)
     if achieved(0.0) < 0.0 or achieved(w_hi) > 0.0:
@@ -254,13 +260,13 @@ def _ordinal_s(x: float, tau_c: float) -> float:
 
 def _lower_half(
     x: float, y: float, lower: float
-) -> tuple[Shuffle, float, float, float]:
-    """(shuffle, s, v, t) for a target with lower <= y <= F(x) and
-    |x| < 1: the ordinal sum over the base point of tau v at curve
-    parameter t.  A boundary target has v = x; any other is solved for
-    the root t of ``_g_lower``, strictly decreasing on [0, (1+x)/4].  g(0)
-    runs the float operations of ``realize``'s flip-curve test, so it is
-    >= 0, and a target on F gets t = 0."""
+) -> tuple[Shuffle, float, float, float, tuple[float, float]]:
+    """(shuffle, s, v, t, base) for a target with lower <= y <= F(x) and
+    |x| < 1: the ordinal sum over the base of tau v at curve parameter t,
+    and the base's closed-form (tau, rho).  A boundary target has v = x;
+    any other is solved for the root t of ``_g_lower``, strictly decreasing
+    on [0, (1+x)/4].  g(0) runs the float operations of ``realize``'s
+    flip-curve test, so it is >= 0, and a target on F gets t = 0."""
     if y - lower <= 1e-12:
         v, t = x, (1.0 + x) / 4.0
     else:
@@ -268,14 +274,17 @@ def _lower_half(
         v = 4.0 * t - 1.0
     w = _solve_wedge(x, y) if v < _CAP_TAU else None
     if w is not None:
-        s = _ordinal_s(x, -1.0 + 2.0 * w * w)
-        return ordinal_sum_with_identity(_wedge_shuffle(w), s), s, -1.0, 0.0
+        point = _wedge_point(w)
+        s = _ordinal_s(x, point[0])
+        return ordinal_sum_with_identity(_wedge_shuffle(w), s), s, -1.0, 0.0, point
     if v >= _SLIVER_TAU:
-        base = prototype_shuffle(prototype_for_tau(v))
+        proto = prototype_for_tau(v)
+        base, point = prototype_shuffle(proto), _prototype_point(proto.n, proto.r)
     else:
-        base = _wedge_shuffle(math.sqrt((1.0 + v) / 2.0))
+        w = math.sqrt((1.0 + v) / 2.0)
+        base, point = _wedge_shuffle(w), _wedge_point(w)
     s = _ordinal_s(x, v)
-    return ordinal_sum_with_identity(base, s), s, v, t
+    return ordinal_sum_with_identity(base, s), s, v, t, point
 
 
 def realize(
@@ -289,7 +298,7 @@ def realize(
     accepts only 1e-12 beyond the boundary, so ``realize`` solves some
     targets that ``contains`` rejects, replacing them by the boundary
     point at the same tau; the residual still measures from the original
-    target.
+    target, to the witness's closed-form (tau, rho).
 
     Corners give the identity and the flip.  Any other target (x, y) is
     solved in the lower half, on or below the flip curve
@@ -325,13 +334,14 @@ def realize(
         y = upper
 
     if abs(x - 1.0) <= 1e-12:
-        sh, s, t = identity_shuffle(), 0.0, 0.5
+        sh, s, t, base = identity_shuffle(), 0.0, 0.5, (1.0, 1.0)
     elif abs(x + 1.0) <= 1e-9:
-        sh, s, t = flip_shuffle(), 0.0, 0.0
+        sh, s, t, base = flip_shuffle(), 0.0, 0.0, (-1.0, -1.0)
     elif y > _rho_scaled(x, -1.0, -1.0):
-        sh, s, v, _ = _lower_half(-x, -y, -upper)
-        sh, t = flip(sh), (3.0 + v) / 4.0
+        sh, s, v, _, base = _lower_half(-x, -y, -upper)
+        sh, t, tau_t, rho_t = flip(sh), (3.0 + v) / 4.0, -tau_t, -rho_t
     else:
-        sh, s, _, t = _lower_half(x, y, lower)
-    pt = tau_rho(sh)
-    return sh, HomotopyPoint(s, t, math.hypot(pt.tau - tau_t, pt.rho - rho_t))
+        sh, s, _, t, base = _lower_half(x, y, lower)
+    tau_c = 1.0 - (1.0 - s) ** 2 * (1.0 - base[0])
+    rho_c = 1.0 - (1.0 - s) ** 3 * (1.0 - base[1])
+    return sh, HomotopyPoint(s, t, math.hypot(tau_c - tau_t, rho_c - rho_t))

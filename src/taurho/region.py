@@ -22,12 +22,12 @@ boundary points belong to the region.
 A query takes one of two paths, chosen by the input's shape.  A 0-d
 input (a float, a numpy scalar or a 0-d array) is converted with
 ``float`` and evaluated with ``math`` on Python floats and ints, and
-gives a float; ``realize``'s bisection, ``contains`` and per-sample
-``theta`` calls take this path.  An array goes through numpy
-elementwise, for ``boundary_samples``, the quadrature and the
-main-inequality sweep.  Both paths run the same correctly rounded
-operations (the 3/2 power is taken as ``excess * sqrt(excess)``) in the
-same order, so they give the same bits.
+gives a float; ``contains`` and per-sample ``theta`` calls take this
+path, and ``realize``'s bisection calls its ``_phi_scalar`` directly.
+An array goes through numpy elementwise, for ``boundary_samples``, the
+quadrature and the main-inequality sweep.  Both paths run the same
+correctly rounded operations (the 3/2 power is taken as
+``excess * sqrt(excess)``) in the same order, so they give the same bits.
 """
 
 from __future__ import annotations
@@ -253,6 +253,16 @@ def _panel_sum(f, a: np.ndarray, h: np.ndarray) -> float:
     return float(np.sum(h * (f(x) @ _WEIGHTS)))
 
 
+def _checked_tol(name: str, tol) -> float:
+    """tol as a float, rejected unless it is > 0 and finite."""
+    tol = float(tol)
+    if not tol > 0.0:
+        raise ValueError(f"{name}: tol must be > 0, got {tol!r}")
+    if tol == math.inf:
+        raise ValueError(f"{name}: tol must be finite, got {tol!r}")
+    return tol
+
+
 def area_quadrature(tol: float) -> float:
     """Area of the region by exact quadrature of the boundary segments.
 
@@ -273,11 +283,7 @@ def area_quadrature(tol: float) -> float:
     is at most tol/3, leaving the rest of tol to rounding; tol = 1e-12
     gives N = 1,862.
     """
-    tol = float(tol)
-    if not tol > 0.0:
-        raise ValueError(f"area_quadrature: tol must be > 0, got {tol!r}")
-    if tol == math.inf:
-        raise ValueError(f"area_quadrature: tol must be finite, got {tol!r}")
+    tol = _checked_tol("area_quadrature", tol)
     if tol < 1e-13:
         raise ValueError("area_quadrature: tol below 1e-13 exceeds float64 resolution")
     n_cut = math.ceil((12.0 / tol) ** 0.25)
@@ -297,7 +303,5 @@ def classical_area_quadrature(tol: float) -> float:
     The width is quadratic on [-1, 0] and on [0, 1], so one panel each
     integrates it exactly; tol is only validated.
     """
-    tol = float(tol)
-    if not tol > 0.0:
-        raise ValueError(f"classical_area_quadrature: tol must be > 0, got {tol!r}")
+    _checked_tol("classical_area_quadrature", tol)
     return _panel_sum(_classical_width, np.array([-1.0, 0.0]), np.array([1.0, 1.0]))

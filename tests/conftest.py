@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,6 +34,31 @@ def random_shuffle(rng, n_max=10, mixed_signs=True, n_min=2):
     else:
         signs = (1,) * n
     return make_shuffle(perm, tuple(u), signs)
+
+
+def exact_tau_rho(shuffle) -> tuple[Fraction, Fraction]:
+    """tau and rho of a shuffle in exact rationals of its float weights.
+
+    Piece i covers [a_i, a_i + u_i] and is sent to [b_i, b_i + u_i], with
+    b_i the weight of the pieces in lower slots.  Two points are discordant
+    when their pieces are inverted, or when they share a reversed piece, so
+    tau = 1 - 2 (2 sum of inverted u_i u_j + sum of reversed u_i^2); and
+    rho = 12 E[U f(U)] - 3, integrating the line of each piece exactly.
+    """
+    u = [Fraction(w) for w in shuffle.weights.u]
+    perm, signs, n = shuffle.perm.images, shuffle.signs, len(u)
+    discordant = sum(u[i] ** 2 for i in range(n) if signs[i] < 0) + 2 * sum(
+        u[i] * u[j] for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
+    )
+    moment = Fraction(0)
+    for i in range(n):
+        a = sum(u[:i], Fraction(0))
+        b = sum((u[k] for k in range(n) if perm[k] < perm[i]), Fraction(0))
+        if signs[i] > 0:  # f(a + s) = b + s
+            moment += a * b * u[i] + (a + b) * u[i] ** 2 / 2 + u[i] ** 3 / 3
+        else:  # f(a + s) = b + u_i - s
+            moment += a * (b + u[i]) * u[i] + (b + u[i] - a) * u[i] ** 2 / 2 - u[i] ** 3 / 3
+    return 1 - 2 * discordant, 12 * moment - 3
 
 
 def tensors_loop(inverted, cyclic, n):

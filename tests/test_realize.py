@@ -1,6 +1,8 @@
 """Prototypes, the boundary curve, and inverse realization of targets."""
 
+import importlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,8 +22,11 @@ from taurho import (
     realize,
     tau_rho,
 )
-from taurho import region
+from taurho import concordance, region
 from taurho.realize import _prototype_point
+from conftest import exact_tau_rho, random_shuffle
+
+realize_module = importlib.import_module("taurho.realize")
 
 
 class TestPrototype:
@@ -356,6 +361,103 @@ class TestRealize:
             assert math.hypot(pt.tau - x, pt.rho - y) == pytest.approx(
                 h.residual, abs=1e-12
             )
+
+
+# One target per branch of the certificate: both corners, both boundaries,
+# lower-half and flipped interior targets, a target on the flip curve, the
+# exactly solved wedge, the 5,838-piece prototype near the lower corner, and
+# the slivers (prototypes of 10^4 to 2^15 pieces, and wedges of their tau).
+_CORNER_PROTOTYPE = (-0.9996272406279685, -0.9999548056215535)
+CERTIFICATE_TARGETS = [
+    (1.0, 1.0),
+    (-1.0, -1.0),
+    (-0.6, phi_boundary(-0.6)),
+    (0.3, -phi_boundary(-0.3)),
+    (0.2, 0.1),
+    (0.0, 0.4),
+    (-0.6647876036897746, _flip_curve(-0.6647876036897746)),
+    (-0.9994220307115846, -0.9993986543394635),
+    _CORNER_PROTOTYPE,
+] + SLIVER_TARGETS
+
+
+def _refuse(*args):
+    raise AssertionError("realize measured a shuffle")
+
+
+def _checked_phi_scalar(monkeypatch) -> list:
+    """Wrap the search's boundary so that it fails outside [-1, 1]; the
+    returned list collects the arguments it was called with."""
+    inner = realize_module._phi_scalar
+    seen = []
+
+    def checked(x):
+        assert -1.0 <= x <= 1.0, x
+        seen.append(x)
+        return inner(x)
+
+    monkeypatch.setattr(realize_module, "_phi_scalar", checked)
+    return seen
+
+
+class TestCertificate:
+    """The residual comes from closed forms; it must agree with the measured
+    distance of the witness, and with an exact one where that is cheap."""
+
+    def test_exact_reference(self, four_segment, rng):
+        assert exact_tau_rho(four_segment) == (Fraction(-3, 32), Fraction(-29, 256))
+        for _ in range(50):
+            sh = random_shuffle(rng, n_max=12)
+            tau, rho = exact_tau_rho(sh)
+            pt = tau_rho(sh)
+            assert abs(pt.tau - tau) <= 1e-14 and abs(pt.rho - rho) <= 1e-14
+
+    def test_targets_cover_every_branch(self):
+        witnesses = {t: realize(t) for t in CERTIFICATE_TARGETS}
+        assert witnesses[(1.0, 1.0)][0].n == 1
+        assert witnesses[(-1.0, -1.0)][0] == flip_shuffle()
+        assert witnesses[(0.0, 0.4)][1].t > 0.5 > witnesses[(0.2, 0.1)][1].t
+        assert witnesses[_CORNER_PROTOTYPE][0].n == 5838
+        assert witnesses[(-0.9994220307115846, -0.9993986543394635)][0].n == 3
+        assert max(sh.n for sh, _ in witnesses.values()) > 10_000
+
+    @pytest.mark.parametrize("target", CERTIFICATE_TARGETS)
+    def test_residual_is_the_measured_distance(self, target):
+        sh, h = realize(target)
+        pt = tau_rho(sh)
+        measured = math.hypot(pt.tau - target[0], pt.rho - target[1])
+        assert abs(h.residual - measured) <= 1e-12
+        if sh.n <= 48:
+            tau, rho = exact_tau_rho(sh)
+            exact = math.hypot(
+                float(tau - Fraction(target[0])), float(rho - Fraction(target[1]))
+            )
+            assert abs(h.residual - exact) <= 1e-12
+
+    def test_realize_never_measures(self, monkeypatch):
+        monkeypatch.setattr(concordance, "_inversions", _refuse)
+        for target in [frozen[0] for frozen in FROZEN_TARGETS] + SLIVER_TARGETS:
+            realize(target)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(region_targets())
+    def test_realize_never_measures_region_targets(self, target):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(concordance, "_inversions", _refuse)
+            realize(target)
+
+    def test_search_stays_in_the_boundary_domain(self, monkeypatch):
+        seen = _checked_phi_scalar(monkeypatch)
+        for target in [frozen[0] for frozen in FROZEN_TARGETS] + SLIVER_TARGETS:
+            realize(target)
+        assert len(seen) > 100
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(region_targets())
+    def test_search_stays_in_the_boundary_domain_on_region_targets(self, target):
+        with pytest.MonkeyPatch.context() as mp:
+            _checked_phi_scalar(mp)
+            realize(target)
 
 
 class TestResidualIsMonotone:

@@ -567,8 +567,9 @@ class TestArea:
             classical_area_quadrature(math.nan)
 
     def test_infinite_tol_is_rejected(self):
-        with pytest.raises(ValueError, match="tol must be finite, got inf"):
-            area_quadrature(math.inf)
+        for quadrature in (area_quadrature, classical_area_quadrature):
+            with pytest.raises(ValueError, match="tol must be finite, got inf"):
+                quadrature(math.inf)
 
     def test_classical_area_is_seven_sixths(self):
         assert abs(classical_area_quadrature(1e-10) - 7 / 6) <= 1e-15
