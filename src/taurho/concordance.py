@@ -48,6 +48,28 @@ __all__ = [
 # Entries of the (levels x n) arrays of one merge pass: small inputs run
 # several levels per pass, larger ones one level, so memory stays O(n).
 _PASS_ELEMENTS = 1 << 12
+_SUM_BLOCK = 256
+
+
+def _prefix_sum(a: np.ndarray) -> np.ndarray:
+    """``a.cumsum(axis=-1)``; rows longer than ``_PASS_ELEMENTS`` are summed
+    in two levels, a cumsum within blocks of ``_SUM_BLOCK`` entries plus the
+    exclusive prefix sum of the block totals, so that the rounding error of
+    equal weights grows like the square root of the row length rather than
+    like the length itself (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 4)."""
+    n = a.shape[-1]
+    if n <= _PASS_ELEMENTS:
+        return a.cumsum(axis=-1)
+    cut = n - n % _SUM_BLOCK
+    out = np.empty(a.shape)
+    blocks, tail = out[..., :cut].reshape(a.shape[:-1] + (-1, _SUM_BLOCK)), out[..., cut:]
+    np.cumsum(a[..., :cut].reshape(blocks.shape), axis=-1, out=blocks)
+    np.cumsum(a[..., cut:], axis=-1, out=tail)
+    starts = _prefix_sum(blocks[..., -1])
+    blocks[..., 1:, :] += starts[..., :-1, None]
+    tail += starts[..., -1:]
+    return out
 
 
 def _inversions(keys, u, x) -> tuple[float, float]:
@@ -86,8 +108,8 @@ def _inversions(keys, u, x) -> tuple[float, float]:
         wx = ux[order]
         lw = w * left
         lwx = wx * left
-        a = lw.cumsum(axis=1)
-        b = lwx.cumsum(axis=1)
+        a = _prefix_sum(lw)
+        b = _prefix_sum(lwx)
         # weight of the left-half entries above each entry of its block
         a -= (a - lw).take(first)
         b -= (b - lwx).take(first)
@@ -110,7 +132,7 @@ def inv_invs(shuffle: Shuffle) -> tuple[float, float]:
     """
     u = shuffle.weights.as_array()
     e = np.asarray(shuffle.signs)
-    inv, invs = _inversions(shuffle.perm.images, u, np.cumsum(u) - u / 2.0)
+    inv, invs = _inversions(shuffle.perm.images, u, _prefix_sum(u) - u / 2.0)
 
     rev = e == -1
     if rev.any():

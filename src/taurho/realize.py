@@ -17,9 +17,11 @@ mirrored to (-x, -y), which lies on or below F, and the assembly for it
 is flipped.  For a target (x, y) on or below F the residual
 g(t) = 1 - (1-x)^1.5 h(4t-1) - y, where h(tau) = (1 - Phi(tau))/(1-tau)^1.5
 strictly increases on [-1, 1), is >= 0 at t = 0 and <= 0 at t = (1+x)/4
-(the boundary point at x); so one bisection finds g's only root, and a
-boundary target takes t = (1+x)/4 without one.  From the root's curve
-tau v, the base under the ordinal sum follows three rules:
+(the boundary point at x); so one ITP search (interpolate, truncate,
+project: bisection's worst case plus one step, and superlinear on smooth
+g) finds g's only root, and a boundary target takes t = (1+x)/4 without
+one.  From the root's curve tau v, the base under the ordinal sum
+follows three rules:
 
 1. if the prototype at v has more than PROTOTYPE_N_CAP pieces, the
    two-piece near-flip wedge solved exactly for the target, if there is
@@ -31,7 +33,9 @@ tau v, the base under the ordinal sum follows three rules:
 
 The wedge of rule 1 comes before the large prototypes of rule 2 because
 a wedge has two pieces, while scoring a prototype of 10^4 to 2^15 pieces
-takes tens of milliseconds.
+takes tens of milliseconds.  The search returns only the base's
+parameters; the witness (ordinal sum, and flip for a mirrored target) is
+built and validated once, from them.
 """
 
 from __future__ import annotations
@@ -44,11 +48,9 @@ from .shuffles import (
     RegionPoint,
     Shuffle,
     _entries,
-    flip,
     flip_shuffle,
     identity_shuffle,
     make_shuffle,
-    ordinal_sum_with_identity,
 )
 
 __all__ = [
@@ -72,7 +74,7 @@ _CAP_TAU = -1.0 + 2.0 / PROTOTYPE_N_CAP
 # that tau the same-tau wedge is closer to the boundary than 3.4e-7.
 _SLIVER_TAU = -1.0 + 2.0 / 2**15
 _CURVE_N_GUARD = 10_000_000
-_BISECT_TOL = 1e-13
+_ROOT_TOL = 1e-13
 
 
 class TargetOutsideRegion(ValueError):
@@ -148,10 +150,7 @@ def prototype_for_tau(x: float) -> Prototype:
 
 def prototype_shuffle(p: Prototype) -> Shuffle:
     """Materialize a prototype: decreasing permutation, weights (r,...,r,1-(n-1)r)."""
-    n, r = p.n, p.r
-    last = max(0.0, 1.0 - (n - 1) * r)
-    weights = (r,) * (n - 1) + (last,)
-    return make_shuffle(tuple(range(n, 0, -1)), weights, (1,) * n)
+    return _witness(p, 0.0, False)[0]
 
 
 def _prototype_point(n: float, r: float) -> tuple[float, float]:
@@ -185,11 +184,8 @@ def boundary_curve(t: float) -> tuple[Shuffle, RegionPoint]:
             f"boundary_curve: t={t!r} implies a prototype with more than "
             f"{_CURVE_N_GUARD} pieces"
         )
-    proto = prototype_for_tau(x)
-    sh = prototype_shuffle(proto)
-    tau_c, rho_c = _prototype_point(proto.n, proto.r)
+    sh, (tau_c, rho_c) = _witness(prototype_for_tau(x), 0.0, t > 0.5)
     if t > 0.5:
-        sh = flip(sh)
         tau_c, rho_c = -tau_c, -rho_c
     return sh, RegionPoint(_clip_unit(tau_c), _clip_unit(rho_c))
 
@@ -211,29 +207,38 @@ def _g_lower(x: float, y: float, t: float) -> float:
     return _rho_scaled(x, tau_c, _phi_scalar(tau_c)) - y
 
 
-def _bisect(g, a: float, b: float) -> float:
-    ga = g(a)
+def _itp(g, a: float, b: float) -> float:
+    """The root of g on [a, b], given g(a) >= 0 >= g(b), to a bracket of
+    _ROOT_TOL, by ITP (Oliveira & Takahashi, ACM TOMS 47(1), 2020) with
+    k1 = 0.2/(b - a), k2 = 2 and n0 = 1: the regula falsi point, moved
+    k1 (b - a)^k2 toward the midpoint and projected to within r of it.
+    Step j's r is (b - a)2^-j - w/2, for the initial b - a and the current
+    width w, so the bracket ends no wider than bisection's and no root takes
+    more than one step over bisection.  The root returned is the regula
+    falsi point of the final bracket.  On a +-1 sign function the regula
+    falsi point is the midpoint: bisection's steps and root."""
+    ga, gb = g(a), g(b)
     if ga == 0.0:
         return a
-    if g(b) == 0.0:
+    if gb == 0.0:
         return b
-    while b - a > _BISECT_TOL:
-        m = (a + b) / 2.0
-        gm = g(m)
-        if gm == 0.0:
-            return m
-        if (ga < 0.0) == (gm < 0.0):
-            a, ga = m, gm
+    k1, reach = 0.2 / (b - a), b - a
+    while True:
+        mid = (a + b) / 2.0
+        xf = (b * ga - a * gb) / (ga - gb) if ga != gb else mid
+        if b - a <= _ROOT_TOL:
+            return xf
+        r, delta = reach - (b - a) / 2.0, k1 * (b - a) ** 2
+        reach /= 2.0
+        xt = xf + math.copysign(delta, mid - xf) if delta <= abs(mid - xf) else mid
+        x = xt if abs(xt - mid) <= r else mid - math.copysign(r, mid - xf)
+        gx = g(x)
+        if gx == 0.0:
+            return x
+        if gx > 0.0:
+            a, ga = x, gx
         else:
-            b = m
-    return (a + b) / 2.0
-
-
-def _wedge_shuffle(w: float) -> Shuffle:
-    """Near-flip two-piece shuffle: a reversed piece of width 1-w followed by
-    a straight piece of width w sent to the bottom.  Exactly the flip at
-    w = 0; tau = -1 + 2w^2 and rho = -1 + 2w^3 (exact algebra)."""
-    return make_shuffle((2, 1), (1.0 - w, w), (-1, 1))
+            b, gb = x, gx
 
 
 def _wedge_point(w: float) -> tuple[float, float]:
@@ -247,10 +252,10 @@ def _solve_wedge(x: float, y: float) -> float | None:
     w_hi = min(math.sqrt(max(1.0 + x, 0.0) / 2.0), 1.0 - 1e-9)
     if achieved(0.0) < 0.0 or achieved(w_hi) > 0.0:
         return None
-    # Bisect on the sign alone: near its root achieved rounds to 0 on a run
-    # of w, and the root taken is the run's right end (to _BISECT_TOL), not
+    # Search on the sign alone: near its root achieved rounds to 0 on a run
+    # of w, and the root taken is the run's right end (to _ROOT_TOL), not
     # whichever midpoint first lands inside the run.
-    return _bisect(lambda w: 1.0 if achieved(w) >= 0.0 else -1.0, 0.0, w_hi)
+    return _itp(lambda w: 1.0 if achieved(w) >= 0.0 else -1.0, 0.0, w_hi)
 
 
 def _ordinal_s(x: float, tau_c: float) -> float:
@@ -258,33 +263,49 @@ def _ordinal_s(x: float, tau_c: float) -> float:
     return 1.0 - math.sqrt(min(max((1.0 - x) / (1.0 - tau_c), 0.0), 1.0))
 
 
-def _lower_half(
-    x: float, y: float, lower: float
-) -> tuple[Shuffle, float, float, float, tuple[float, float]]:
-    """(shuffle, s, v, t, base) for a target with lower <= y <= F(x) and
-    |x| < 1: the ordinal sum over the base of tau v at curve parameter t,
-    and the base's closed-form (tau, rho).  A boundary target has v = x;
-    any other is solved for the root t of ``_g_lower``, strictly decreasing
-    on [0, (1+x)/4].  g(0) runs the float operations of ``realize``'s
-    flip-curve test, so it is >= 0, and a target on F gets t = 0."""
+def _lower_half(x: float, y: float, lower: float) -> tuple[Prototype | float, float, float, float]:
+    """(base, s, v, t) for a target with lower <= y <= F(x) and |x| < 1: the
+    ordinal sum with share s over the base of tau v at curve parameter t,
+    where the base is a prototype or a wedge's w.  A boundary target has
+    v = x; any other is solved for the root t of ``_g_lower``, strictly
+    decreasing on [0, (1+x)/4], by one ITP search.  g(0) runs the float
+    operations of ``realize``'s flip-curve test, so it is >= 0, and a
+    target on F gets t = 0."""
     if y - lower <= 1e-12:
         v, t = x, (1.0 + x) / 4.0
     else:
-        t = _bisect(lambda t: _g_lower(x, y, t), 0.0, (1.0 + x) / 4.0)
+        t = _itp(lambda t: _g_lower(x, y, t), 0.0, (1.0 + x) / 4.0)
         v = 4.0 * t - 1.0
     w = _solve_wedge(x, y) if v < _CAP_TAU else None
     if w is not None:
-        point = _wedge_point(w)
-        s = _ordinal_s(x, point[0])
-        return ordinal_sum_with_identity(_wedge_shuffle(w), s), s, -1.0, 0.0, point
-    if v >= _SLIVER_TAU:
-        proto = prototype_for_tau(v)
-        base, point = prototype_shuffle(proto), _prototype_point(proto.n, proto.r)
+        return w, _ordinal_s(x, _wedge_point(w)[0]), -1.0, 0.0
+    base = prototype_for_tau(v) if v >= _SLIVER_TAU else math.sqrt((1.0 + v) / 2.0)
+    return base, _ordinal_s(x, v), v, t
+
+
+def _witness(
+    base: Prototype | float, s: float, flipped: bool
+) -> tuple[Shuffle, tuple[float, float]]:
+    """The ordinal sum with share s over the base, flipped if asked, built
+    and validated once; and the base's closed-form (tau, rho).  A float
+    base w is the near-flip wedge: a reversed piece of width 1-w, then a
+    straight piece of width w sent to the bottom, exactly the flip at
+    w = 0, with tau = -1 + 2w^2 and rho = -1 + 2w^3.  The entries are the
+    bits of ``flip(ordinal_sum_with_identity(base, s))``: the same single
+    multiplies by q = 1 - s, and the bare base for s = 0."""
+    q, k, e = 1.0 - s, int(s > 0.0), -1 if flipped else 1
+    if isinstance(base, Prototype):
+        n, r = base.n, base.r
+        weights = (q * r,) * (n - 1) + (q * max(0.0, 1.0 - (n - 1) * r),)
+        signs, point = (e,) * n, _prototype_point(n, r)
     else:
-        w = math.sqrt((1.0 + v) / 2.0)
-        base, point = _wedge_shuffle(w), _wedge_point(w)
-    s = _ordinal_s(x, v)
-    return ordinal_sum_with_identity(base, s), s, v, t, point
+        n, weights, signs = 2, (q * (1.0 - base), q * base), (-e, e)
+        point = _wedge_point(base)
+    if flipped:
+        perm = (n + k,) * k + tuple(range(1, n + 1))
+    else:
+        perm = (1,) * k + tuple(range(n + k, k, -1))
+    return make_shuffle(perm, (s,) * k + weights, (e,) * k + signs), point
 
 
 def realize(
@@ -338,10 +359,12 @@ def realize(
     elif abs(x + 1.0) <= 1e-9:
         sh, s, t, base = flip_shuffle(), 0.0, 0.0, (-1.0, -1.0)
     elif y > _rho_scaled(x, -1.0, -1.0):
-        sh, s, v, _, base = _lower_half(-x, -y, -upper)
-        sh, t, tau_t, rho_t = flip(sh), (3.0 + v) / 4.0, -tau_t, -rho_t
+        found, s, v, _ = _lower_half(-x, -y, -upper)
+        sh, base = _witness(found, s, True)
+        t, tau_t, rho_t = (3.0 + v) / 4.0, -tau_t, -rho_t
     else:
-        sh, s, _, t, base = _lower_half(x, y, lower)
+        found, s, _, t = _lower_half(x, y, lower)
+        sh, base = _witness(found, s, False)
     tau_c = 1.0 - (1.0 - s) ** 2 * (1.0 - base[0])
     rho_c = 1.0 - (1.0 - s) ** 3 * (1.0 - base[1])
     return sh, HomotopyPoint(s, t, math.hypot(tau_c - tau_t, rho_c - rho_t))

@@ -23,7 +23,7 @@ A query takes one of two paths, chosen by the input's shape.  A 0-d
 input (a float, a numpy scalar or a 0-d array) is converted with
 ``float`` and evaluated with ``math`` on Python floats and ints, and
 gives a float; ``contains`` and per-sample ``theta`` calls take this
-path, and ``realize``'s bisection calls its ``_phi_scalar`` directly.
+path, and ``realize``'s root search calls its ``_phi_scalar`` directly.
 An array goes through numpy elementwise, for ``boundary_samples``, the
 quadrature and the main-inequality sweep.  Both paths run the same
 correctly rounded operations (the 3/2 power is taken as

@@ -1,8 +1,18 @@
 import itertools
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+
+# Hypothesis imports its patch writer, and through it libcst, only once a
+# test has failed; libcst's use of mypy_extensions.TypedDict warns with a
+# DeprecationWarning, which the "error" filter turns into an INTERNALERROR
+# that ends the run without a report.  Imported here, with that one
+# category ignored, it is already loaded when the plugin needs it.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 from taurho import Permutation, make_shuffle
 from taurho.concordance import _positions

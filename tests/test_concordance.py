@@ -29,7 +29,7 @@ from taurho import (
 )
 from taurho import concordance
 from taurho.concordance import _inversions
-from conftest import coeffs_one, random_shuffle, tensors_loop
+from conftest import coeffs_one, exact_tau_rho, random_shuffle, tensors_loop
 
 
 def _brute_inversions(keys, u, x):
@@ -320,6 +320,59 @@ def test_chunked_path_matches_closed_form():
         rho_c = 1 - 2 * r * (n - 1) * (3 - 3 * r * (n - 1) + r * r * (n - 2) * n)
         assert pt.tau == pytest.approx(tau_c, abs=1e-11), n
         assert pt.rho == pytest.approx(rho_c, abs=1e-11), n
+
+
+def _exact_corner_prototype(sh) -> tuple[Fraction, Fraction]:
+    """tau and rho of a prototype with weights (r, ..., r, l), in exact
+    rationals of its float weights.  Every pair is inverted, so 2 inv is
+    (sum u)^2 - sum u^2; the midpoints are (i - 1/2) r for i < n and
+    (n-1) r + l/2, so the pairs among the first n - 1 pieces give
+    r^3 (n-2)(n-1)n/6 to invs and the pairs with the last r l (n-1)((n-1) r + l)/2."""
+    n = sh.n
+    r, last = Fraction(sh.weights.u[0]), Fraction(sh.weights.u[-1])
+    total, squares = (n - 1) * r + last, (n - 1) * r * r + last * last
+    invs = r**3 * (n - 2) * (n - 1) * n / 6 + r * last * (n - 1) * ((n - 1) * r + last) / 2
+    return 1 - 2 * (total * total - squares), 1 - 12 * invs
+
+
+class TestLongRows:
+    """Rows longer than _PASS_ELEMENTS are prefix-summed in two levels, so
+    that the rounding error of many equal weights does not grow like n."""
+
+    @pytest.mark.parametrize("n", [300_000, 2**20 + 1])
+    def test_corner_prototype_against_exact(self, n):
+        sh = prototype_shuffle(Prototype(n, 1.0 / n))
+        assert set(sh.weights.u[:-1]) == {1.0 / n}
+        tau, rho = _exact_corner_prototype(sh)
+        pt = tau_rho(sh)
+        assert abs(pt.tau - tau) <= 1e-12 and abs(pt.rho - rho) <= 1e-12
+
+    def test_exact_reference_on_a_small_prototype(self):
+        sh = prototype_shuffle(Prototype(9, 0.115))
+        assert _exact_corner_prototype(sh) == exact_tau_rho(sh)
+
+    @pytest.mark.parametrize("shape", [(1,), (7,), (3, 4096), (4096,)])
+    def test_short_rows_keep_the_cumsum_bits(self, rng, shape):
+        a = rng.random(shape)
+        assert np.array_equal(concordance._prefix_sum(a), a.cumsum(axis=-1))
+
+    @pytest.mark.parametrize("n", [4097, 20 * 256, 2**20 + 256 * 300 + 17])
+    def test_long_rows_sum_every_entry_once(self, n):
+        """Integers sum exactly, so the offsets of the blocks, the tail and
+        the block totals (summed in blocks again past 2^20 entries) show."""
+        a = np.ones((2, n))
+        a[1] = np.arange(n) % 7
+        want = np.cumsum(a.astype(np.int64), axis=-1).astype(float)
+        assert np.array_equal(concordance._prefix_sum(a), want)
+        assert np.array_equal(concordance._prefix_sum(a[1]), want[1])
+
+    def test_equal_weights_do_not_drift(self):
+        """k * w rounds the exact k-th prefix of equal weights w once."""
+        n = 300_001
+        a = np.full(n, 1.0 / n)
+        exact = np.arange(1, n + 1) * (1.0 / n)
+        assert np.abs(concordance._prefix_sum(a) - exact).max() <= 1e-13
+        assert np.abs(np.cumsum(a) - exact).max() > 1e-12
 
 
 class TestStacks:

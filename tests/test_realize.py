@@ -4,6 +4,7 @@ import importlib
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
@@ -15,7 +16,10 @@ from taurho import (
     TargetOutsideRegion,
     boundary_curve,
     contains,
+    flip,
     flip_shuffle,
+    make_shuffle,
+    ordinal_sum_with_identity,
     phi_boundary,
     prototype_for_tau,
     prototype_shuffle,
@@ -23,7 +27,7 @@ from taurho import (
     tau_rho,
 )
 from taurho import concordance, region
-from taurho.realize import _prototype_point
+from taurho.realize import _g_lower, _prototype_point
 from conftest import exact_tau_rho, random_shuffle
 
 realize_module = importlib.import_module("taurho.realize")
@@ -148,7 +152,7 @@ def _flip_curve(x: float) -> float:
 # The targets of the CLI examples, with the shuffle (perm, weights, signs),
 # s and t that realize gives them.
 _R3 = 0.33333500000006894
-_R30 = 0.03458764725434764
+_R30 = 0.03458764725447037
 FROZEN_TARGETS = [
     (
         (-0.3333333333, -0.7777777778),
@@ -161,28 +165,28 @@ FROZEN_TARGETS = [
     (
         (0.2, 0.1),
         (1, 4, 3, 2),
-        (0.18491381899126147, 0.3562632378812012, 0.3562632378812012,
-         0.10255970524633612),
+        (0.18491381899128945, 0.356263237881162, 0.356263237881162,
+         0.10255970524638663),
         (1, 1, 1, 1),
-        0.18491381899126147,
-        0.19896088030340028,
+        0.18491381899128945,
+        0.19896088030337963,
     ),
     (
         (-0.9, -0.95),
         (1,) + tuple(range(30, 1, -1)),
-        (0.00800673345756353,) + (_R30,) * 28 + (0.023539143420702572,),
+        (0.008006733457524229,) + (_R30,) * 28 + (0.02353914341730545,),
         (1,) * 30,
-        0.00800673345756353,
-        0.017301264513980636,
+        0.008006733457524229,
+        0.01730126451401885,
     ),
     (
         (0.5, 0.6),
         (1, 5, 4, 3, 2),
-        (0.3932033326214056,) + (0.19838218182897877,) * 3
-        + (0.011650121891658089,),
+        (0.39320333262142737,) + (0.19838218182895573,) * 3
+        + (0.011650121891705502,),
         (1, 1, 1, 1, 1),
-        0.3932033326214056,
-        0.16051261640068049,
+        0.39320333262142737,
+        0.16051261640065617,
     ),
 ]
 
@@ -273,7 +277,7 @@ class TestRealize:
         """On the flip curve the residual at t = 0 is zero in exact
         arithmetic, but numpy's SIMD power (AVX-512) rounds it to -2.2e-16
         on arrays.  The scalar residual runs the float operations of the
-        flip-curve test, so it is exactly 0 at t = 0, and the bisection
+        flip-curve test, so it is exactly 0 at t = 0, and the search
         returns the root t = 0."""
         x = -0.6647876036897746
         sh, h = realize((x, _flip_curve(x)))
@@ -447,10 +451,17 @@ class TestCertificate:
             realize(target)
 
     def test_search_stays_in_the_boundary_domain(self, monkeypatch):
+        """A target more than 1e-12 from both boundaries searches, so the
+        wrapper must have seen a call for each of them."""
         seen = _checked_phi_scalar(monkeypatch)
-        for target in [frozen[0] for frozen in FROZEN_TARGETS] + SLIVER_TARGETS:
-            realize(target)
-        assert len(seen) > 100
+        searched = 0
+        for x, y in [frozen[0] for frozen in FROZEN_TARGETS] + SLIVER_TARGETS:
+            seen.clear()
+            realize((x, y))
+            if min(y - phi_boundary(x), -phi_boundary(-x) - y) > 1e-12:
+                assert seen, (x, y)
+                searched += 1
+        assert searched == 8
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(region_targets())
@@ -463,7 +474,7 @@ class TestCertificate:
 class TestResidualIsMonotone:
     """The lower-half residual g(t) = 1 - (1-x)^1.5 h(4t-1) - y, with
     h(tau) = (1 - Phi(tau))/(1 - tau)^1.5, strictly decreases in t because
-    h strictly increases on [-1, 1); so one bisection finds its only root."""
+    h strictly increases on [-1, 1); so one ITP search finds its only root."""
 
     def test_h_increases_on_every_segment(self):
         """On segment n the boundary is the prototype point (tau(r), rho(r))
@@ -516,3 +527,160 @@ class TestResidualIsMonotone:
         for target in [frozen[0] for frozen in FROZEN_TARGETS] + SLIVER_TARGETS:
             _, h = realize(target)
             assert h.residual <= 1e-6
+
+
+def _searched_target(x: float, y: float) -> tuple[float, float]:
+    """The target that ``realize`` searches for (x, y): itself on or below
+    the flip curve (by ``realize``'s own test), else (-x, -y)."""
+    return (-x, -y) if y > realize_module._rho_scaled(x, -1.0, -1.0) else (x, y)
+
+
+def _bisection(g, a: float, b: float) -> float:
+    """The bisection that the ITP search replaced, to the same bracket: the
+    reference for its count of evaluations."""
+    ga = g(a)
+    if ga == 0.0:
+        return a
+    if g(b) == 0.0:
+        return b
+    while b - a > realize_module._ROOT_TOL:
+        m = (a + b) / 2.0
+        gm = g(m)
+        if gm == 0.0:
+            return m
+        if (ga < 0.0) == (gm < 0.0):
+            a, ga = m, gm
+        else:
+            b = m
+    return (a + b) / 2.0
+
+
+def _evaluations(solver, x: float, y: float) -> int:
+    """How many evaluations ``solver`` takes for the root of ``_g_lower``
+    at (x, y)."""
+    calls = []
+
+    def g(t):
+        calls.append(t)
+        return _g_lower(x, y, t)
+
+    solver(g, 0.0, (1.0 + x) / 4.0)
+    return len(calls)
+
+
+def _exact_g(x: float, y: float, t) -> mpmath.mpf:
+    """g(t) = 1 - ((1-x)/(1-tau))^1.5 (1 - Phi(tau)) - y at tau = 4t - 1,
+    in the working precision, with Phi(tau) from the prototype of tau's
+    segment n: its tau 1 - 4(n-1)r + 2n(n-1)r^2 solved for r >= 1/n, then
+    its rho."""
+    tau = 4 * t - 1
+    n = max(2, int(mpmath.ceil(2 / (1 + tau))))
+    m = n - 1
+    r = (2 * m + mpmath.sqrt(4 * m * m - 2 * n * m * (1 - tau))) / (2 * n * m)
+    phi = 1 - 2 * r * m * (3 - 3 * r * m + r * r * (n - 2) * n)
+    return 1 - ((1 - x) / (1 - tau)) ** mpmath.mpf(1.5) * (1 - phi) - y
+
+
+def _exact_root(x: float, y: float, t: float) -> mpmath.mpf:
+    """The root of g within 1e-12 of t, to 50 digits (g decreases in t)."""
+    with mpmath.workdps(50):
+        lo, hi = mpmath.mpf(t) - mpmath.mpf(1e-12), mpmath.mpf(t) + mpmath.mpf(1e-12)
+        assert _exact_g(x, y, lo) > 0 > _exact_g(x, y, hi), (x, y, t)
+        for _ in range(100):
+            mid = (lo + hi) / 2
+            if _exact_g(x, y, mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+
+class TestRootSearch:
+    """The ITP search against an exact root, and its count of evaluations
+    against the bisection it replaced."""
+
+    def test_root_is_within_1e_15_of_the_exact_root(self, rng):
+        """Bisection to the same 1e-13 bracket returned its midpoint, up to
+        5e-14 from the root (4.1e-14 on these targets)."""
+        targets = [frozen[0] for frozen in FROZEN_TARGETS[1:]]
+        while len(targets) < 53:
+            x, y = rng.uniform(-1, 1, 2)
+            if contains((x, y)):
+                targets.append((float(x), float(y)))
+        worst = 0.0
+        for target in targets:
+            x, y = _searched_target(*target)
+            lower = phi_boundary(x)
+            assert y - lower > 1e-12
+            _, _, v, t = realize_module._lower_half(x, y, lower)
+            assert v == 4.0 * t - 1.0 > -1.0
+            with mpmath.workdps(50):
+                worst = max(worst, float(abs(_exact_root(x, y, t) - mpmath.mpf(t))))
+        assert worst <= 1e-15
+
+    def test_no_root_takes_more_than_one_evaluation_over_bisection(self):
+        """A 45 x 48 grid of (1 + tau gap, share of the slice between the
+        boundaries) next to both corners, and the sliver targets."""
+        targets = list(SLIVER_TARGETS)
+        for gap in np.logspace(-8.0, -1.0, 45):
+            for x in (-1.0 + gap, 1.0 - gap):
+                lo, hi = phi_boundary(x), -phi_boundary(-x)
+                targets += [(x, lo + share * (hi - lo)) for share in np.linspace(0.0, 1.0, 48)]
+        counts = []
+        for target in targets:
+            x, y = _searched_target(*target)
+            if y - phi_boundary(x) <= 1e-12:
+                continue  # on the boundary: no search
+            itp = _evaluations(realize_module._itp, x, y)
+            bisection = _evaluations(_bisection, x, y)
+            assert itp <= bisection + 1, (target, itp, bisection)
+            counts.append((itp, bisection))
+        assert len(counts) > 3500
+        itp, bisection = np.sum(counts, axis=0)
+        assert itp < 0.75 * bisection
+
+
+def _base_shuffle(base):
+    """A prototype's or a wedge's shuffle, spelled out: the decreasing
+    permutation with weights (r, ..., r, 1 - (n-1)r), or the reversed piece
+    of width 1 - w over the straight piece of width w."""
+    if isinstance(base, Prototype):
+        n, r = base.n, base.r
+        return make_shuffle(
+            tuple(range(n, 0, -1)), (r,) * (n - 1) + (max(0.0, 1.0 - (n - 1) * r),)
+        )
+    return make_shuffle((2, 1), (1.0 - base, base), (-1, 1))
+
+
+_WITNESS_BASES = [
+    Prototype(n, (1.0 / n + 1.0 / (n - 1)) / 2.0) for n in (2, 3, 30, 10**4, 2**15)
+] + [
+    0.0,
+    realize_module._solve_wedge(-0.9994220307115846, -0.9993986543394635),
+    math.sqrt((1.0 + -0.99999) / 2.0),
+]
+
+
+class TestWitness:
+    """``realize`` builds its witness in one pass; it must be the shuffle
+    that the ordinal sum and the flip compose, bit for bit."""
+
+    def test_bases_cover_both_wedges(self):
+        assert 0.0 < _WITNESS_BASES[-2] < 1e-2
+        sh, _ = realize((-0.9994220307115846, -0.9993986543394635))
+        assert sh.weights.u[-1] == (1.0 - sh.weights.u[0]) * _WITNESS_BASES[-2]
+
+    @pytest.mark.parametrize("flipped", [False, True])
+    @pytest.mark.parametrize("s", [0.0, 0.008006733457524229, 0.3])
+    @pytest.mark.parametrize("base", _WITNESS_BASES)
+    def test_equals_the_composed_witness(self, base, s, flipped):
+        expected = ordinal_sum_with_identity(_base_shuffle(base), s)
+        if flipped:
+            expected = flip(expected)
+        sh, point = realize_module._witness(base, s, flipped)
+        assert sh == expected
+        if isinstance(base, Prototype):
+            assert point == _prototype_point(base.n, base.r)
+        else:
+            assert point == (-1.0 + 2.0 * base * base, -1.0 + 2.0 * base**3)
+
