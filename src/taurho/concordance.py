@@ -130,9 +130,8 @@ def inv_invs(shuffle: Shuffle) -> tuple[float, float]:
 
     Runs in O(n log n) time and O(n) extra memory (see ``_inversions``).
     """
-    u = shuffle.weights.as_array()
-    e = np.asarray(shuffle.signs)
-    inv, invs = _inversions(shuffle.perm.images, u, _prefix_sum(u) - u / 2.0)
+    p, u, e = shuffle.as_arrays()
+    inv, invs = _inversions(p, u, _prefix_sum(u) - u / 2.0)
 
     rev = e == -1
     if rev.any():
@@ -235,7 +234,7 @@ class InversionData:
 
 def inversion_data(perm: Permutation) -> InversionData:
     pairs, triples = _positions(perm.n)
-    inverted, cyclic = _incidence(perm.images)
+    inverted, cyclic = _incidence(perm.as_array())
     return InversionData(
         frozenset(map(tuple, (pairs.T[inverted] + 1).tolist())),
         frozenset(map(tuple, (triples.T[cyclic] + 1).tolist())),
@@ -262,7 +261,7 @@ def ab_values(perm: Permutation, u) -> tuple[float, float]:
     polynomials, so ``u`` is not required to be normalised (the
     perturbation checks feed in off-simplex points on purpose).
     """
-    a, b = _ab(*_incidence(perm.images), _weights_array(u, perm.n)[None])
+    a, b = _ab(*_incidence(perm.as_array()), _weights_array(u, perm.n)[None])
     return float(a[0]), float(b[0])
 
 
@@ -318,7 +317,7 @@ def perturbation_coeffs(perm: Permutation, u, delta) -> PerturbationCoeffs:
         raise ValueError(f"delta must have shape ({n},), got {d.shape}")
     if abs(float(d.sum())) > 1e-12:
         raise ValueError(f"delta must sum to zero, got {float(d.sum())!r}")
-    c = _coeffs(*_tensors(*_incidence(perm.images), n), arr, d)
+    c = _coeffs(*_tensors(*_incidence(perm.as_array()), n), arr, d)
     return replace(
         c, **{f: float(getattr(c, f)) for f in ("alpha1", "alpha2", "beta1", "beta2", "beta3")}
     )

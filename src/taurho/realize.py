@@ -43,11 +43,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .region import _phi_scalar, phi_boundary, segment_index
 from .shuffles import (
     RegionPoint,
     Shuffle,
-    _entries,
+    _integer,
+    _scalar,
     flip_shuffle,
     identity_shuffle,
     make_shuffle,
@@ -89,8 +92,7 @@ class Prototype:
     r: float
 
     def __post_init__(self) -> None:
-        (n,) = _entries("prototype n", (self.n,), int)
-        (r,) = _entries("prototype r", (self.r,), float)
+        n, r = _integer("prototype n", self.n), _scalar("prototype r", self.r, float)
         if n < 2:
             raise ValueError(f"prototype needs n >= 2, got {n}")
         lo, hi = 1.0 / n, 1.0 / (n - 1)
@@ -296,16 +298,20 @@ def _witness(
     q, k, e = 1.0 - s, int(s > 0.0), -1 if flipped else 1
     if isinstance(base, Prototype):
         n, r = base.n, base.r
-        weights = (q * r,) * (n - 1) + (q * max(0.0, 1.0 - (n - 1) * r),)
-        signs, point = (e,) * n, _prototype_point(n, r)
+        last, point = max(0.0, 1.0 - (n - 1) * r), _prototype_point(n, r)
     else:
-        n, weights, signs = 2, (q * (1.0 - base), q * base), (-e, e)
-        point = _wedge_point(base)
+        n, r, last, point = 2, 1.0 - base, base, _wedge_point(base)
+    # empty and fill, not np.full, whose Python wrapper costs more at a few pieces
+    weights, signs = np.empty(n + k), np.empty(n + k, dtype=np.int8)
+    weights.fill(q * r)
+    signs.fill(e)
+    weights[:k], weights[-1] = s, q * last
+    signs[k] = e if isinstance(base, Prototype) else -e
+    perm = np.arange(n + 2 * k, k, -1)  # ends n + k, ..., k + 1
+    perm[:k] = 1  # the identity piece
     if flipped:
-        perm = (n + k,) * k + tuple(range(1, n + 1))
-    else:
-        perm = (1,) * k + tuple(range(n + k, k, -1))
-    return make_shuffle(perm, (s,) * k + weights, (e,) * k + signs), point
+        perm = n + k + 1 - perm
+    return make_shuffle(perm, weights, signs), point
 
 
 def realize(

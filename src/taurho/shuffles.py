@@ -16,6 +16,16 @@ the choice because single points carry no mass.
 Indices are 1-based in the public data types (``perm`` lists the target
 slot of each source piece), mirroring the usual one-line permutation
 notation.
+
+``Permutation``, ``SimplexWeights`` and ``Shuffle`` hold their entries
+once, as read-only numpy arrays (int64 images, float64 weights, int8
+signs) that a few vector operations validate; an array passed in is
+copied.  ``as_array()`` and ``as_arrays()`` hand those arrays out, and
+the values compare and hash by their entries.  ``images``, ``u`` and
+``signs`` are tuple views, built at each read in O(n).  A tuple, list or
+JSON array is judged entry by entry, so that ``True`` or ``1.5`` is
+rejected rather than cast; an ndarray is judged by its dtype.  An error
+names the field, its first offending entry and the bound it broke.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ import json
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -49,109 +59,193 @@ __all__ = [
 
 _WEIGHT_SUM_TOL = 1e-12
 _JSON_SUM_TOL = 1e-9
+# plain type -> (type an entry must have, its name, ndarray dtype kinds accepted, dtype stored)
+_KINDS = {
+    int: (numbers.Integral, "integers", "iu", np.int64),
+    float: (numbers.Real, "real numbers", "iuf", np.float64),
+}
 
 
-def _entries(field: str, values, plain: type) -> tuple:
-    """``values`` as a tuple of ``plain`` (int or float), after checking that
-    every entry is an integer (for int) or a real number (for float) and not
-    a bool; numpy integer and float scalars qualify."""
-    values = tuple(values)
-    types = set(map(type, values))
-    if types <= {plain}:
-        return values
-    kind, what = (numbers.Integral, "integers") if plain is int else (numbers.Real, "real numbers")
-    for t in types:
-        if issubclass(t, bool) or not issubclass(t, kind):
-            bad = next(v for v in values if type(v) is t)
-            raise ValueError(f"{field} entries must be {what}, got {bad!r}")
-    return tuple(map(plain, values))
+def _wrong_type(t: type, plain: type) -> bool:
+    """Whether a value of type ``t`` fails as ``plain``: a bool, or not an
+    integer (for int) or a real number (for float).  Numpy integer and
+    float scalars pass."""
+    return issubclass(t, bool) or not issubclass(t, _KINDS[plain][0])
+
+
+def _scalar(name: str, value, plain: type):
+    """``value`` as ``plain`` (int or float); an error names the argument."""
+    if type(value) is not plain and _wrong_type(type(value), plain):
+        what = "an integer" if plain is int else "a real number"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return plain(value)
 
 
 def _integer(name: str, value) -> int:
-    """``value`` as an int; a bool or a non-integral value raises
-    ``ValueError`` naming the argument."""
-    (value,) = _entries(name, (value,), int)
-    return value
+    return _scalar(name, value, int)
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of {1, ..., n} in one-line notation."""
+def _array(field: str, values, plain: type) -> np.ndarray:
+    """``values`` as a new nonempty 1-D int64 (``plain`` int) or float64
+    (``plain`` float) array, owned by the caller.  An ndarray is judged by
+    its dtype; any other sequence by the type of each entry, because
+    casting ``[1, True]`` or ``[1.5]`` to int64 passes silently.  An error
+    names the first offending entry."""
+    what, kinds, dtype = _KINDS[plain][1:]
+    if isinstance(values, np.ndarray):
+        kind = values.dtype.kind
+        wraps = kind == "u" and values.itemsize == 8 and plain is int  # int64 can't hold all uint64
+        if values.ndim != 1 or kind not in kinds or wraps:
+            got = f"{values.dtype} of shape {values.shape}"
+            raise ValueError(f"{field} must be a 1-D array of {what}, got {got}")
+        arr = values.astype(dtype)
+    else:
+        values = tuple(values)
+        types = set(map(type, values))
+        if not types <= {plain} and any(_wrong_type(t, plain) for t in types):
+            i = next(i for i, v in enumerate(values) if _wrong_type(type(v), plain))
+            raise ValueError(f"{field} entries must be {what}, got {values[i]!r} at {field}[{i}]")
+        try:
+            arr = np.array(values, dtype)
+        except OverflowError as exc:  # a Python int beyond the dtype
+            raise ValueError(f"{field}: {exc}") from None
+    if len(arr) == 0:
+        raise ValueError(f"{field} must have length >= 1")
+    return arr
 
-    images: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        imgs = _entries("perm", self.images, int)
-        object.__setattr__(self, "images", imgs)
-        n = len(imgs)
-        if n == 0:
-            raise ValueError("permutation must have length >= 1")
-        if not (min(imgs) >= 1 and max(imgs) <= n and len(set(imgs)) == n):
-            raise ValueError(f"not a bijection of 1..{n}: {imgs}")
+class _Frozen:
+    """A value held as validated read-only arrays, ``as_arrays()``: equal,
+    hashed, shown and pickled (so rebuilt and validated) by their entries."""
+
+    __slots__ = ()
+    n = property(lambda self: len(self.as_arrays()[-1]), doc="The number of pieces.")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(map(np.array_equal, self.as_arrays(), other.as_arrays()))
+
+    def __hash__(self) -> int:
+        return hash(tuple((a + 0).tobytes() for a in self.as_arrays()))  # + 0 maps -0.0 to 0.0
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(repr(a.tolist()) for a in self.as_arrays())})"
+
+    def __reduce__(self):
+        return type(self), self.as_arrays()
+
+
+class Permutation(_Frozen):
+    """A permutation of {1, ..., n} in one-line notation, held as a
+    read-only int64 array."""
+
+    __slots__ = ("_images",)
+
+    def __init__(self, images) -> None:
+        arr = _array("perm", images, int)
+        n = len(arr)
+        try:  # every entry at most n, and each of 1..n seen; bincount rejects a negative
+            ok = np.maximum.reduce(arr) <= n
+            ok = ok and np.count_nonzero(np.bincount(arr, minlength=n + 1)[1:]) == n
+        except ValueError:
+            ok = False
+        if not ok:
+            repeat = np.ones(n, dtype=bool)
+            repeat[np.unique(arr, return_index=True)[1]] = False
+            i = int(((arr < 1) | (arr > n) | repeat).argmax())
+            bound = "repeats an earlier entry" if 1 <= arr[i] <= n else f"outside 1..{n}"
+            raise ValueError(f"perm[{i}] = {arr[i]} {bound}")
+        arr.setflags(write=False)
+        self._images = arr
 
     @property
-    def n(self) -> int:
-        return len(self.images)
+    def images(self) -> tuple[int, ...]:
+        """The images as a tuple of int, built at each read in O(n)."""
+        return tuple(self._images.tolist())
+
+    def as_arrays(self) -> tuple[np.ndarray]:
+        return (self._images,)
+
+    def as_array(self) -> np.ndarray:
+        """The images as a read-only int64 array."""
+        return self._images
 
     def __call__(self, i: int) -> int:
         """Image of position ``i`` (1-based)."""
-        return self.images[i - 1]
+        return int(self._images[i - 1])
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for pos, img in enumerate(self.images, start=1):
-            inv[img - 1] = pos
-        return Permutation(tuple(inv))
+        inv = np.empty_like(self._images)
+        inv[self._images - 1] = np.arange(1, self.n + 1)
+        return Permutation(inv)
 
 
-@dataclass(frozen=True)
-class SimplexWeights:
-    """Finite nonnegative weights summing to one (tolerance 1e-12)."""
+class SimplexWeights(_Frozen):
+    """Finite nonnegative weights summing to one (tolerance 1e-12), held as
+    a read-only float64 array."""
 
-    u: tuple[float, ...]
+    __slots__ = ("_u",)
 
-    def __post_init__(self) -> None:
-        vals = _entries("weights", self.u, float)
-        object.__setattr__(self, "u", vals)
-        if len(vals) == 0:
-            raise ValueError("weights must have length >= 1")
-        arr = np.asarray(vals)
-        if not np.all(np.isfinite(arr) & (arr >= 0.0)):
-            raise ValueError(f"weights must be finite and nonnegative, got {vals}")
-        total = float(np.sum(arr))
-        if abs(total - 1.0) > _WEIGHT_SUM_TOL:
-            raise ValueError(f"weights sum to {total!r}, not 1")
+    def __init__(self, u) -> None:
+        arr = _array("weights", u, float)
+        # A NaN fails >= 0 and an infinity makes the sum infinite.  The
+        # ufuncs' reduce skips the Python wrappers of arr.min() and arr.sum().
+        if not (np.minimum.reduce(arr) >= 0.0 and abs(np.add.reduce(arr) - 1.0) <= _WEIGHT_SUM_TOL):
+            bad = ~(np.isfinite(arr) & (arr >= 0.0))
+            if bad.any():
+                i = int(bad.argmax())
+                raise ValueError(f"weights[{i}] = {float(arr[i])!r} is not finite and nonnegative")
+            raise ValueError(f"weights sum to {float(arr.sum())!r}, not 1 within {_WEIGHT_SUM_TOL}")
+        arr.setflags(write=False)
+        self._u = arr
 
     @property
-    def n(self) -> int:
-        return len(self.u)
+    def u(self) -> tuple[float, ...]:
+        """The weights as a tuple of float, built at each read in O(n)."""
+        return tuple(self._u.tolist())
+
+    def as_arrays(self) -> tuple[np.ndarray]:
+        return (self._u,)
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.u, dtype=float)
+        """The weights as a read-only float64 array."""
+        return self._u
 
 
-@dataclass(frozen=True)
-class Shuffle:
-    """A piecewise-linear slope +-1 rearrangement of [0, 1]."""
+class Shuffle(_Frozen):
+    """A piecewise-linear slope +-1 rearrangement of [0, 1]; its signs are
+    held as a read-only int8 array."""
 
-    perm: Permutation
-    weights: SimplexWeights
-    signs: tuple[int, ...]
+    __slots__ = ("_perm", "_weights", "_signs")
 
-    def __post_init__(self) -> None:
-        signs = _entries("signs", self.signs, int)
-        object.__setattr__(self, "signs", signs)
-        if not (self.perm.n == self.weights.n == len(signs)):
+    def __init__(self, perm: Permutation, weights: SimplexWeights, signs) -> None:
+        arr = _array("signs", signs, int)
+        if not (len(perm._images) == len(weights._u) == len(arr)):
             raise ValueError(
-                f"length mismatch: perm {self.perm.n}, weights {self.weights.n}, "
-                f"signs {len(signs)}"
+                f"length mismatch: perm {perm.n}, weights {weights.n}, signs {len(arr)}"
             )
-        if not set(signs) <= {-1, 1}:
-            raise ValueError(f"signs must be +-1, got {signs}")
+        bad = np.abs(arr) != 1
+        if np.count_nonzero(bad):
+            i = int(bad.argmax())
+            raise ValueError(f"signs[{i}] = {arr[i]} is not -1 or 1")
+        self._perm, self._weights, self._signs = perm, weights, arr.astype(np.int8)
+        self._signs.setflags(write=False)
+
+    perm = property(lambda self: self._perm)
+    weights = property(lambda self: self._weights)
 
     @property
-    def n(self) -> int:
-        return self.perm.n
+    def signs(self) -> tuple[int, ...]:
+        """The signs as a tuple of int, built at each read in O(n)."""
+        return tuple(self._signs.tolist())
+
+    def as_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The images, weights and signs as read-only arrays."""
+        return self._perm._images, self._weights._u, self._signs
+
+    def __reduce__(self):
+        return make_shuffle, self.as_arrays()
 
 
 @dataclass(frozen=True)
@@ -179,11 +273,9 @@ def make_shuffle(
     The representation is stored as given: zero pieces and neighbours that
     continue one linear branch are kept.
     """
-    p = perm if isinstance(perm, Permutation) else Permutation(tuple(perm))
-    w = weights if isinstance(weights, SimplexWeights) else SimplexWeights(tuple(weights))
-    if signs is None:
-        signs = (1,) * p.n
-    return Shuffle(p, w, tuple(signs))
+    p = perm if isinstance(perm, Permutation) else Permutation(perm)
+    w = weights if isinstance(weights, SimplexWeights) else SimplexWeights(weights)
+    return Shuffle(p, w, np.ones(p.n, dtype=np.int8) if signs is None else signs)
 
 
 def identity_shuffle() -> Shuffle:
@@ -202,11 +294,10 @@ def breakpoints(shuffle: Shuffle) -> tuple[np.ndarray, np.ndarray]:
     of target slot j, whose width equals the weight of the piece sent
     there.  Both arrays start at 0 and are snapped to end at exactly 1.
     """
-    u = shuffle.weights.as_array()
+    p, u, _ = shuffle.as_arrays()
     s = np.concatenate(([0.0], np.cumsum(u)))
     s[-1] = 1.0
-    inv_positions = np.argsort(np.asarray(shuffle.perm.images))
-    t = np.concatenate(([0.0], np.cumsum(u[inv_positions])))
+    t = np.concatenate(([0.0], np.cumsum(u[np.argsort(p)])))
     t[-1] = 1.0
     return s, t
 
@@ -220,9 +311,7 @@ def evaluate(shuffle: Shuffle, x):
     if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise ValueError("evaluate: argument outside [0, 1]")
     s, t = breakpoints(shuffle)
-    u = shuffle.weights.as_array()
-    p = np.asarray(shuffle.perm.images)
-    e = np.asarray(shuffle.signs)
+    p, _, e = shuffle.as_arrays()
 
     # 'right' makes the segment starting at a cut win and skips zero pieces.
     k = np.searchsorted(s, arr, side="right") - 1
@@ -245,18 +334,15 @@ def inverse(shuffle: Shuffle) -> Shuffle:
     pulled along it.
     """
     pinv = shuffle.perm.inverse()
-    idx = [i - 1 for i in pinv.images]
-    u = tuple(shuffle.weights.u[i] for i in idx)
-    e = tuple(shuffle.signs[i] for i in idx)
-    return Shuffle(pinv, SimplexWeights(u), e)
+    _, u, e = shuffle.as_arrays()
+    idx = pinv.as_array() - 1
+    return Shuffle(pinv, SimplexWeights(u[idx]), e[idx])
 
 
 def flip(shuffle: Shuffle) -> Shuffle:
     """Compose with x -> 1 - x on the output: slot order reverses, signs negate."""
-    n = shuffle.n
-    p = tuple(n + 1 - v for v in shuffle.perm.images)
-    e = tuple(-s for s in shuffle.signs)
-    return Shuffle(Permutation(p), shuffle.weights, e)
+    p, _, e = shuffle.as_arrays()
+    return Shuffle(Permutation(shuffle.n + 1 - p), shuffle.weights, -e)
 
 
 def ordinal_sum_with_identity(shuffle: Shuffle, s: float) -> Shuffle:
@@ -273,20 +359,19 @@ def ordinal_sum_with_identity(shuffle: Shuffle, s: float) -> Shuffle:
         return shuffle
     if s == 1.0:
         return identity_shuffle()
-    p = (1,) + tuple(v + 1 for v in shuffle.perm.images)
-    w = (s,) + tuple((1.0 - s) * v for v in shuffle.weights.u)
-    e = (1,) + shuffle.signs
-    return Shuffle(Permutation(p), SimplexWeights(w), e)
+    p, u, e = shuffle.as_arrays()
+    return Shuffle(
+        Permutation(np.concatenate(([1], p + 1))),
+        SimplexWeights(np.concatenate(([s], (1.0 - s) * u))),
+        np.concatenate(([1], e)),
+    )
 
 
 # --- JSON interchange -----------------------------------------------------
 
 def shuffle_to_dict(shuffle: Shuffle) -> dict:
-    return {
-        "perm": list(shuffle.perm.images),
-        "weights": list(shuffle.weights.u),
-        "signs": list(shuffle.signs),
-    }
+    p, u, e = shuffle.as_arrays()
+    return {"perm": p.tolist(), "weights": u.tolist(), "signs": e.tolist()}
 
 
 def shuffle_from_dict(data: dict) -> Shuffle:
@@ -304,13 +389,11 @@ def shuffle_from_dict(data: dict) -> Shuffle:
     signs = data["signs"]
     if not (isinstance(perm, list) and isinstance(weights, list) and isinstance(signs, list)):
         raise ValueError("perm, weights and signs must be arrays")
-    if not len(perm) == len(weights) == len(signs):
-        raise ValueError("perm, weights and signs must have equal length")
-    w = _entries("weights", weights, float)
-    total = float(np.sum(w))
+    w = _array("weights", weights, float)
+    total = float(np.add.reduce(w))
     if not abs(total - 1.0) <= _JSON_SUM_TOL:  # also refuses a NaN sum
         raise ValueError(f"weights sum to {total!r}, outside 1 +- {_JSON_SUM_TOL}")
-    return make_shuffle(perm, [v / total for v in w], signs)
+    return make_shuffle(perm, w / total, signs)
 
 
 def read_shuffle_json(path: str | Path) -> Shuffle:

@@ -157,7 +157,7 @@ def find_pattern(perm: Permutation, pattern: tuple[int, ...]):
     p_1 < ... < p_k whose images compare exactly like the pattern values.
     Returns None if the permutation avoids the pattern.
     """
-    (found,), (first,) = _first_occurrence(np.array([perm.images]), pattern)
+    (found,), (first,) = _first_occurrence(perm.as_array()[None], pattern)
     return tuple((first + 1).tolist()) if found else None
 
 

@@ -7,6 +7,7 @@ console-script wrapper does, so no installed executable is needed, and
 the fresh-process side of the test that one parser serves many calls.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -83,7 +84,7 @@ class TestEval:
         assert run(["eval", "--shuffle", str(bad)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: weights entries must be real numbers, got '0.5'\n"
+        assert captured.err == "error: weights entries must be real numbers, got '0.5' at weights[0]\n"
 
     def test_unparseable_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -227,6 +228,39 @@ def _subprocess_env():
     src = str(Path(taurho.__file__).resolve().parent.parent)
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return dict(os.environ, PYTHONPATH=pythonpath)
+
+
+# SHA-256 of the output of every frozen CLI input (stdout, and the CSV for
+# boundary); ROADMAP lists the inputs.  Any change to these outputs must be
+# named and signed off, and its digest replaced here.
+FROZEN_OUTPUTS = [
+    ("eval", ["eval", "--shuffle", "{shuffle}"], "1e398acbfbf6f972695630a39c1a9893b49b0af4415c6f7cf998b3f74bd6e318"),
+    ("boundary-7", ["boundary", "--k", "7"], "07f533fbe0a653bae44a5d9ba3a1e1829ef5d52b5ac002f2dd9d3b3f1eefeba2"),
+    ("boundary-101", ["boundary", "--k", "101"], "ea75daeb15691d4037aac51149b96e45d31f1c6f6d4fcb5007ba69e4db485c78"),
+    ("boundary-1001", ["boundary", "--k", "1001"], "9e1023a2bb89aa0dbd618dac6b600674e625507caf9117b60cabdfaa45f402be"),
+    ("boundary-4097", ["boundary", "--k", "4097"], "c12ef8c48ce337e5a2d105f27b4767b4cc3ec91e4c3e6593401a4fad59be7f69"),
+    (
+        "realize-sharp",
+        ["realize", "--tau", "-0.3333333333", "--rho", "-0.7777777778"],
+        "f50ef2bb5a9181a96eb56bf02359c7f6b85bf1f270287478d1dc3c68844c16e4",
+    ),
+    ("realize-interior", ["realize", "--tau", "0.2", "--rho", "0.1"], "1ed5d590a7c9ffe0fe0eab5ce49851d7b40d3ef32da3e2e737119dd472befdbc"),
+    ("realize-corner", ["realize", "--tau", "-0.9", "--rho", "-0.95"], "6b6270d5707e4f7ceb206eda5aec4a0f5b6ba2ed0fca461225eac8a75c779438"),
+    ("realize-upper", ["realize", "--tau", "0.5", "--rho", "0.6"], "1c3e9af5d5fbced015abeddb226f21fa0dcd87315fc9e0506121bbca1a9e541d"),
+    ("area", ["area"], "60d7eb3bb76f7c7825e13296e691c28806a511d7416287a5a4c199fdadbf1ed0"),
+    ("verify", ["verify", "--suite", "all", "--seed", "0"], "3cb922ffaeaada78edc008be07760f3f3d0b3beefcac7c26cc1e50ad0e5290dc"),
+]
+
+
+@pytest.mark.parametrize("args,digest", [case[1:] for case in FROZEN_OUTPUTS], ids=[case[0] for case in FROZEN_OUTPUTS])
+def test_frozen_outputs_are_byte_identical(args, digest, shuffle_path, tmp_path, capsys):
+    args = [a.format(shuffle=shuffle_path) for a in args]
+    csv = tmp_path / "boundary.csv"
+    if args[0] == "boundary":
+        args += ["--out", str(csv)]
+    assert run(args) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(csv.read_bytes() if args[0] == "boundary" else out).hexdigest() == digest
 
 
 def test_one_parser_serves_every_call(shuffle_path, capsys):
