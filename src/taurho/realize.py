@@ -6,22 +6,23 @@ points are reached by sliding along the boundary curve gamma(t) and
 pulling toward (1, 1) with an ordinal sum: tau scales as 1-(1-s)^2(1-tau)
 and rho as 1-(1-s)^3(1-rho), so for a fixed curve point the parameter s
 is determined by the tau coordinate alone and the remaining rho residual
-is a one-dimensional root-finding problem in t.  The search works
+is a one-dimensional root-finding problem in t.  The solve works
 entirely on closed forms (no shuffles are built until the root is found),
 and so does the certificate's residual, which the tests hold to the
 witness's measured ``tau_rho`` within 1e-12.
 
-Only the lower half is searched.  The ordinal sums of the flip, gamma(0),
+Only the lower half is solved.  The ordinal sums of the flip, gamma(0),
 trace the flip curve F(x) = 1 - 2((1-x)/2)^1.5; a target above F is
 mirrored to (-x, -y), which lies on or below F, and the assembly for it
 is flipped.  For a target (x, y) on or below F the residual
 g(t) = 1 - (1-x)^1.5 h(4t-1) - y, where h(tau) = (1 - Phi(tau))/(1-tau)^1.5
-strictly increases on [-1, 1), is >= 0 at t = 0 and <= 0 at t = (1+x)/4
-(the boundary point at x); so one ITP search (interpolate, truncate,
-project: bisection's worst case plus one step, and superlinear on smooth
-g) finds g's only root, and a boundary target takes t = (1+x)/4 without
-one.  From the root's curve tau v, the base under the ordinal sum
-follows three rules:
+strictly increases on [-1, 1), has one root, solved on its segment n.  At
+tau_k = -1 + 2/k, Phi is -1 + 2/k^2, so h(tau_k) <= (1-y)/(1-x)^1.5 exactly
+when c(k+1)^2 <= k(k-1), c = (1-x)^3/(2(1-y)^2): n = max(2, ceil(k)) for k
+the quadratic's larger root, and c >= 1 puts the target on F (t = 0).
+Segment 2 gives 1 - tau = 4.5c; any other, safeguarded Newton steps on
+log h.  A boundary target takes t = (1+x)/4.  From the root's tau v, the
+base under the ordinal sum follows three rules:
 
 1. if the prototype at v has more than PROTOTYPE_N_CAP pieces, the
    two-piece near-flip wedge solved exactly for the target, if there is
@@ -33,7 +34,7 @@ follows three rules:
 
 The wedge of rule 1 comes before the large prototypes of rule 2 because
 a wedge has two pieces, while scoring a prototype of 10^4 to 2^15 pieces
-takes tens of milliseconds.  The search returns only the base's
+takes tens of milliseconds.  The solve returns only the base's
 parameters; the witness (ordinal sum, and flip for a mirrored target) is
 built and validated once, from them.
 """
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .region import _phi_scalar, phi_boundary, segment_index
+from .region import _coords, _phi_scalar, phi_boundary, segment_index
 from .shuffles import (
     RegionPoint,
     Shuffle,
@@ -192,7 +193,7 @@ def boundary_curve(t: float) -> tuple[Shuffle, RegionPoint]:
     return sh, RegionPoint(_clip_unit(tau_c), _clip_unit(rho_c))
 
 
-# --- homotopy search ------------------------------------------------------
+# --- homotopy solve -------------------------------------------------------
 
 def _rho_scaled(x: float, tau_c, rho_c):
     """rho of the ordinal sum whose curve point is (tau_c, rho_c) and whose
@@ -202,11 +203,31 @@ def _rho_scaled(x: float, tau_c, rho_c):
     return 1.0 - ratio**1.5 * (1.0 - rho_c)
 
 
-def _g_lower(x: float, y: float, t: float) -> float:
-    """g at t in [0, (1+x)/4], where 4t - 1 lies in [-1, x] (in [-1, 1] after
-    rounding 1 + x), so ``_phi_scalar`` gives ``phi_boundary``'s bits unchecked."""
-    tau_c = 4.0 * t - 1.0
-    return _rho_scaled(x, tau_c, _phi_scalar(tau_c)) - y
+def _lower_root(x: float, y: float) -> float:
+    """The root t of g for Phi(x) < y <= F(x), 0 on F.  Newton starts at -1 + 2/k,
+    the lattice parabola's root (at the shared end where rounding puts ceil(k) a
+    segment off), and stops at a step under 1e-8 of the segment: t within 2e-16."""
+    c = (1.0 - x) ** 3 / (2.0 * (1.0 - y) ** 2) if y < _rho_scaled(x, -1.0, -1.0) else 1.0
+    if c >= 1.0:  # on F by realize's own test (y may be 1, so 1 - y is 0), or after rounding
+        return 0.0
+    k = (1.0 + 2.0 * c + math.sqrt(1.0 + 8.0 * c)) / (2.0 * (1.0 - c))
+    n = max(2, math.ceil(k))
+    if n == 2:
+        return 0.5 - 1.125 * c
+    a, b, log_h = -1.0 + 2.0 / n, -1.0 + 2.0 / (n - 1), math.log((1.0 - y) / (1.0 - x) ** 1.5)
+    tau, tol, step = min(b, max(a, -1.0 + 2.0 / k)), 1e-8 * (b - a) + 2.0**-52, 1.0
+    bend = 1.5 * (n - 2.0) / (math.sqrt(2.0) * n * math.sqrt(n - 1.0))
+    while abs(step) > tol:
+        phi = _phi_scalar(tau)
+        f = math.log((1.0 - phi) / (1.0 - tau) ** 1.5) - log_h
+        a, b = (tau, b) if f < 0.0 else (a, tau)
+        dphi = 3.0 / n - bend * math.sqrt(max(n * (1.0 + tau) - 2.0, 0.0))
+        step = f / (1.5 / (1.0 - tau) - dphi / (1.0 - phi))
+        tau -= step
+        if abs(step) > tol and not a < tau < b:  # bisect, until no float is inside
+            tau = (a + b) / 2.0
+            step = step if a < tau < b else 0.0
+    return (1.0 + tau) / 4.0
 
 
 def _itp(g, a: float, b: float) -> float:
@@ -217,8 +238,8 @@ def _itp(g, a: float, b: float) -> float:
     Step j's r is (b - a)2^-j - w/2, for the initial b - a and the current
     width w, so the bracket ends no wider than bisection's and no root takes
     more than one step over bisection.  The root returned is the regula
-    falsi point of the final bracket.  On a +-1 sign function the regula
-    falsi point is the midpoint: bisection's steps and root."""
+    falsi point of the final bracket, on a +-1 sign function the midpoint:
+    there ITP takes bisection's steps and root."""
     ga, gb = g(a), g(b)
     if ga == 0.0:
         return a
@@ -267,16 +288,11 @@ def _ordinal_s(x: float, tau_c: float) -> float:
 
 def _lower_half(x: float, y: float, lower: float) -> tuple[Prototype | float, float, float, float]:
     """(base, s, v, t) for a target with lower <= y <= F(x) and |x| < 1: the
-    ordinal sum with share s over the base of tau v at curve parameter t,
-    where the base is a prototype or a wedge's w.  A boundary target has
-    v = x; any other is solved for the root t of ``_g_lower``, strictly
-    decreasing on [0, (1+x)/4], by one ITP search.  g(0) runs the float
-    operations of ``realize``'s flip-curve test, so it is >= 0, and a
-    target on F gets t = 0."""
-    if y - lower <= 1e-12:
-        v, t = x, (1.0 + x) / 4.0
-    else:
-        t = _itp(lambda t: _g_lower(x, y, t), 0.0, (1.0 + x) / 4.0)
+    ordinal sum with share s over the base (a prototype, or a wedge's w) of
+    tau v = 4t - 1; t is (1+x)/4 on the boundary, else ``_lower_root``'s."""
+    v, t = x, (1.0 + x) / 4.0
+    if y - lower > 1e-12:
+        t = _lower_root(x, y)
         v = 4.0 * t - 1.0
     w = _solve_wedge(x, y) if v < _CAP_TAU else None
     if w is not None:
@@ -332,13 +348,11 @@ def realize(
     F(x) = 1 - 2((1-x)/2)^1.5: a target above F is mirrored to (-x, -y),
     which lies on or below F since F(x) >= x >= -F(-x), and the whole
     assembly is flipped.  Every point that ``contains`` accepts is
-    realized.  Raises ValueError for a NaN or infinite tau or rho and
-    TargetOutsideRegion (a ValueError) for outside points.
+    realized.  Raises ValueError for a target that is not a pair of real
+    numbers (a bool or a str is not one), for a NaN or infinite tau or rho,
+    and TargetOutsideRegion (a ValueError) for outside points.
     """
-    if isinstance(target, RegionPoint):
-        tau_t, rho_t = target.tau, target.rho
-    else:
-        tau_t, rho_t = float(target[0]), float(target[1])
+    tau_t, rho_t = _coords(target, "realize")
     if not (math.isfinite(tau_t) and math.isfinite(rho_t)):
         raise ValueError(f"realize: target ({tau_t!r}, {rho_t!r}) is not finite")
     if not -1.0 - BOUNDARY_SNAP <= tau_t <= 1.0 + BOUNDARY_SNAP:

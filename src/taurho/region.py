@@ -23,7 +23,7 @@ A query takes one of two paths, chosen by the input's shape.  A 0-d
 input (a float, a numpy scalar or a 0-d array) is converted with
 ``float`` and evaluated with ``math`` on Python floats and ints, and
 gives a float; ``contains`` and per-sample ``theta`` calls take this
-path, and ``realize``'s root search calls its ``_phi_scalar`` directly.
+path, and ``realize``'s root solve calls its ``_phi_scalar`` directly.
 An array goes through numpy elementwise, for ``boundary_samples``, the
 quadrature and the main-inequality sweep.  Both paths run the same
 correctly rounded operations (the 3/2 power is taken as
@@ -36,7 +36,7 @@ import math
 
 import numpy as np
 
-from .shuffles import RegionPoint, _integer
+from .shuffles import RegionPoint, _integer, _scalar
 
 __all__ = [
     "APERY",
@@ -176,20 +176,34 @@ def theta(x):
     return (float(x) if isinstance(v, float) else np.asarray(x, dtype=float)) - 2.0 * v
 
 
-def _coords(p) -> tuple[float, float]:
+def _real(name: str, value) -> float:
+    """value as a float: a real number, a numpy scalar or a 0-d array of
+    one, but not a bool or a str; an error names the argument."""
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        value = value[()]
+    return _scalar(name, value, float)
+
+
+def _coords(p, name: str) -> tuple[float, float]:
+    """(tau, rho) of a RegionPoint or of a pair read by ``_real``; the one
+    reader of a point, for ``name``'s errors."""
     if isinstance(p, RegionPoint):
         return p.tau, p.rho
-    t, r = p
-    return float(t), float(r)
+    try:
+        t, r = p
+    except (TypeError, ValueError):
+        raise ValueError(f"{name}: target {p!r} is not a (tau, rho) pair") from None
+    return _real(f"{name}: tau", t), _real(f"{name}: rho", r)
 
 
 def contains(p) -> bool:
     """Closed-region membership: |tau| <= 1 and Phi(tau) <= rho <= -Phi(-tau),
     each up to 1e-12.
 
-    Accepts a RegionPoint or a plain (tau, rho) pair.
+    Accepts a RegionPoint or a (tau, rho) pair of real numbers; NaN gives
+    False, and a bool, a str or a wrong length raises ValueError.
     """
-    t, r = _coords(p)
+    t, r = _coords(p, "contains")
     if not -1.0 - _MEMBERSHIP_TOL <= t <= 1.0 + _MEMBERSHIP_TOL:
         return False
     t = min(max(t, -1.0), 1.0)
@@ -209,16 +223,20 @@ def classical_rho_bounds(tau: float) -> tuple[float, float]:
     """The classical lower/upper rho bounds at a given tau, as floats.
 
     Combines the linear band |3*tau - 2*rho| <= 1 with the quadratic
-    envelope (1+tau)^2/2 - 1 <= rho <= 1 - (1-tau)^2/2.
+    envelope (1+tau)^2/2 - 1 <= rho <= 1 - (1-tau)^2/2.  Raises ValueError
+    for a NaN or infinite tau.
     """
-    lower, upper = _classical_bounds(float(tau))
+    tau = _real("classical_rho_bounds: tau", tau)
+    if not math.isfinite(tau):
+        raise ValueError(f"classical_rho_bounds: tau={tau!r} is not finite")
+    lower, upper = _classical_bounds(tau)
     return float(lower), float(upper)
 
 
 def classical_contains(p) -> bool:
     """Membership in the classical region (both textbook bounds, tol 1e-12)."""
-    t, r = _coords(p)
-    lower, upper = classical_rho_bounds(t)
+    t, r = _coords(p, "classical_contains")
+    lower, upper = _classical_bounds(t)
     return bool(lower - _MEMBERSHIP_TOL <= r <= upper + _MEMBERSHIP_TOL)
 
 

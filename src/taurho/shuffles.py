@@ -85,12 +85,13 @@ def _integer(name: str, value) -> int:
     return _scalar(name, value, int)
 
 
-def _array(field: str, values, plain: type) -> np.ndarray:
+def _array(field: str, values, plain: type, narrow=None) -> np.ndarray:
     """``values`` as a new nonempty 1-D int64 (``plain`` int) or float64
-    (``plain`` float) array, owned by the caller.  An ndarray is judged by
-    its dtype; any other sequence by the type of each entry, because
-    casting ``[1, True]`` or ``[1.5]`` to int64 passes silently.  An error
-    names the first offending entry."""
+    (``plain`` float) array, owned by the caller; an ndarray that casts
+    safely to the dtype ``narrow`` is cast once, to it.  An ndarray is
+    judged by its dtype; any other sequence by the type of each entry,
+    because casting ``[1, True]`` or ``[1.5]`` to int64 passes silently.
+    An error names the first offending entry."""
     what, kinds, dtype = _KINDS[plain][1:]
     if isinstance(values, np.ndarray):
         kind = values.dtype.kind
@@ -98,7 +99,7 @@ def _array(field: str, values, plain: type) -> np.ndarray:
         if values.ndim != 1 or kind not in kinds or wraps:
             got = f"{values.dtype} of shape {values.shape}"
             raise ValueError(f"{field} must be a 1-D array of {what}, got {got}")
-        arr = values.astype(dtype)
+        arr = values.astype(narrow if narrow and np.can_cast(values.dtype, narrow) else dtype)
     else:
         values = tuple(values)
         types = set(map(type, values))
@@ -107,8 +108,13 @@ def _array(field: str, values, plain: type) -> np.ndarray:
             raise ValueError(f"{field} entries must be {what}, got {values[i]!r} at {field}[{i}]")
         try:
             arr = np.array(values, dtype)
-        except OverflowError as exc:  # a Python int beyond the dtype
-            raise ValueError(f"{field}: {exc}") from None
+        except OverflowError:  # an entry beyond the dtype's range
+            info = np.iinfo(dtype) if plain is int else np.finfo(dtype)
+            lo, hi = plain(info.min), plain(info.max)
+            i = next(i for i, v in enumerate(values) if not lo <= v <= hi)
+            raise ValueError(
+                f"{field}[{i}] = {values[i]} is outside the {info.dtype} range [{lo}, {hi}]"
+            ) from None
     if len(arr) == 0:
         raise ValueError(f"{field} must have length >= 1")
     return arr
@@ -220,7 +226,7 @@ class Shuffle(_Frozen):
     __slots__ = ("_perm", "_weights", "_signs")
 
     def __init__(self, perm: Permutation, weights: SimplexWeights, signs) -> None:
-        arr = _array("signs", signs, int)
+        arr = _array("signs", signs, int, np.int8)
         if not (len(perm._images) == len(weights._u) == len(arr)):
             raise ValueError(
                 f"length mismatch: perm {perm.n}, weights {weights.n}, signs {len(arr)}"
@@ -229,7 +235,7 @@ class Shuffle(_Frozen):
         if np.count_nonzero(bad):
             i = int(bad.argmax())
             raise ValueError(f"signs[{i}] = {arr[i]} is not -1 or 1")
-        self._perm, self._weights, self._signs = perm, weights, arr.astype(np.int8)
+        self._perm, self._weights, self._signs = perm, weights, arr.astype(np.int8, copy=False)
         self._signs.setflags(write=False)
 
     perm = property(lambda self: self._perm)

@@ -244,9 +244,9 @@ FROZEN_OUTPUTS = [
         ["realize", "--tau", "-0.3333333333", "--rho", "-0.7777777778"],
         "f50ef2bb5a9181a96eb56bf02359c7f6b85bf1f270287478d1dc3c68844c16e4",
     ),
-    ("realize-interior", ["realize", "--tau", "0.2", "--rho", "0.1"], "1ed5d590a7c9ffe0fe0eab5ce49851d7b40d3ef32da3e2e737119dd472befdbc"),
-    ("realize-corner", ["realize", "--tau", "-0.9", "--rho", "-0.95"], "6b6270d5707e4f7ceb206eda5aec4a0f5b6ba2ed0fca461225eac8a75c779438"),
-    ("realize-upper", ["realize", "--tau", "0.5", "--rho", "0.6"], "1c3e9af5d5fbced015abeddb226f21fa0dcd87315fc9e0506121bbca1a9e541d"),
+    ("realize-interior", ["realize", "--tau", "0.2", "--rho", "0.1"], "61728d9fcf1ab8bd934050adbd738ba6f7135a3cd589e3f879e29ef715979665"),
+    ("realize-corner", ["realize", "--tau", "-0.9", "--rho", "-0.95"], "88dcaa40e7cd9e8c1a9cdef8f88a52d8518da71e4d406f80427a96040a2b4820"),
+    ("realize-upper", ["realize", "--tau", "0.5", "--rho", "0.6"], "8adb22696ad71ccbe1cd15eace390fa6b9a26e7225cad2389343750ff3bf35d5"),
     ("area", ["area"], "60d7eb3bb76f7c7825e13296e691c28806a511d7416287a5a4c199fdadbf1ed0"),
     ("verify", ["verify", "--suite", "all", "--seed", "0"], "3cb922ffaeaada78edc008be07760f3f3d0b3beefcac7c26cc1e50ad0e5290dc"),
 ]

@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -27,7 +28,7 @@ from taurho import (
     tau_rho,
 )
 from taurho import concordance, region
-from taurho.realize import _g_lower, _prototype_point
+from taurho.realize import _prototype_point
 from conftest import exact_tau_rho, random_shuffle
 
 realize_module = importlib.import_module("taurho.realize")
@@ -165,11 +166,11 @@ FROZEN_TARGETS = [
     (
         (0.2, 0.1),
         (1, 4, 3, 2),
-        (0.18491381899128945, 0.356263237881162, 0.356263237881162,
-         0.10255970524638663),
+        (0.18491381899128934, 0.356263237881162, 0.356263237881162,
+         0.10255970524638665),
         (1, 1, 1, 1),
-        0.18491381899128945,
-        0.19896088030337963,
+        0.18491381899128934,
+        0.19896088030337972,
     ),
     (
         (-0.9, -0.95),
@@ -177,16 +178,16 @@ FROZEN_TARGETS = [
         (0.008006733457524229,) + (_R30,) * 28 + (0.02353914341730545,),
         (1,) * 30,
         0.008006733457524229,
-        0.01730126451401885,
+        0.01730126451401881,
     ),
     (
         (0.5, 0.6),
         (1, 5, 4, 3, 2),
-        (0.39320333262142737,) + (0.19838218182895573,) * 3
-        + (0.011650121891705502,),
+        (0.39320333262142726,) + (0.19838218182895578,) * 3
+        + (0.01165012189170537,),
         (1, 1, 1, 1, 1),
-        0.39320333262142737,
-        0.16051261640065617,
+        0.39320333262142726,
+        0.16051261640065628,
     ),
 ]
 
@@ -335,6 +336,26 @@ class TestRealize:
             realize(target)
         assert not isinstance(info.value, TargetOutsideRegion)
 
+    @pytest.mark.parametrize(
+        "target,shown",
+        [
+            ((0.2,), "realize: target (0.2,) is not a (tau, rho) pair"),
+            (0.2, "realize: target 0.2 is not a (tau, rho) pair"),
+            (("0.2", "0.1"), "realize: tau must be a real number, got '0.2'"),
+            ((True, 0.9), "realize: tau must be a real number, got True"),
+            ((0.2, np.array([0.1])), "realize: rho must be a real number"),
+        ],
+    )
+    def test_rejects_what_is_not_a_pair_of_reals(self, target, shown):
+        with pytest.raises(ValueError, match=re.escape(shown)) as info:
+            realize(target)
+        assert not isinstance(info.value, TargetOutsideRegion)
+
+    def test_numpy_scalars_and_0d_arrays_are_accepted(self):
+        expected = realize((0.2, 0.1))
+        for target in ((np.float64(0.2), np.float64(0.1)), (np.array(0.2), np.array(0.1))):
+            assert realize(target) == expected
+
     def test_band_below_flip_curve_uses_wedge(self):
         """Targets between the flip scaling curve and the boundary would
         need prototypes with millions of pieces; the reflected two-piece
@@ -474,7 +495,7 @@ class TestCertificate:
 class TestResidualIsMonotone:
     """The lower-half residual g(t) = 1 - (1-x)^1.5 h(4t-1) - y, with
     h(tau) = (1 - Phi(tau))/(1 - tau)^1.5, strictly decreases in t because
-    h strictly increases on [-1, 1); so one ITP search finds its only root."""
+    h strictly increases on [-1, 1); so it has one root, on one segment."""
 
     def test_h_increases_on_every_segment(self):
         """On segment n the boundary is the prototype point (tau(r), rho(r))
@@ -535,24 +556,67 @@ def _searched_target(x: float, y: float) -> tuple[float, float]:
     return (-x, -y) if y > realize_module._rho_scaled(x, -1.0, -1.0) else (x, y)
 
 
-def _bisection(g, a: float, b: float) -> float:
-    """The bisection that the ITP search replaced, to the same bracket: the
-    reference for its count of evaluations."""
+def _g_lower(x: float, y: float, t: float) -> float:
+    """The lower-half residual g at t in [0, (1+x)/4], in floats, as the ITP
+    search of ``realize`` evaluated it before the per-segment solve."""
+    tau_c = 4.0 * t - 1.0
+    return realize_module._rho_scaled(x, tau_c, region._phi_scalar(tau_c)) - y
+
+
+def _bisection_bracket(g, a: float, b: float) -> tuple[float, float]:
+    """The final bracket of the bisection that the ITP search replaced, to
+    the same width, or (m, m) for a point m where g is exactly 0."""
     ga = g(a)
     if ga == 0.0:
-        return a
+        return a, a
     if g(b) == 0.0:
-        return b
+        return b, b
     while b - a > realize_module._ROOT_TOL:
         m = (a + b) / 2.0
         gm = g(m)
         if gm == 0.0:
-            return m
+            return m, m
         if (ga < 0.0) == (gm < 0.0):
             a, ga = m, gm
         else:
             b = m
-    return (a + b) / 2.0
+    return a, b
+
+
+def _bisection(g, a: float, b: float) -> float:
+    """That bisection's root, its bracket's midpoint: the reference for the
+    ITP search's count of evaluations."""
+    return sum(_bisection_bracket(g, a, b)) / 2.0
+
+
+def _random_targets(seed: int, count: int) -> list[tuple[float, float]]:
+    """``count`` uniform points of the square [-1, 1]^2 that ``contains`` accepts."""
+    rng = np.random.default_rng(seed)
+    targets = []
+    while len(targets) < count:
+        x, y = rng.uniform(-1, 1, 2)
+        if contains((x, y)):
+            targets.append((float(x), float(y)))
+    return targets
+
+
+def _corner_grid() -> list[tuple[float, float]]:
+    """A 45 x 48 grid of (1 + tau gap, share of the slice between the
+    boundaries) next to both corners."""
+    targets = []
+    for gap in np.logspace(-8.0, -1.0, 45):
+        for x in (-1.0 + gap, 1.0 - gap):
+            lo, hi = phi_boundary(x), -phi_boundary(-x)
+            targets += [(x, lo + share * (hi - lo)) for share in np.linspace(0.0, 1.0, 48)]
+    return targets
+
+
+def _solved(targets) -> list[tuple[float, float]]:
+    """The lower-half targets that ``realize`` solves for ``targets``: each
+    mirrored as ``realize`` does, and those more than 1e-12 above the lower
+    boundary (the others take the boundary point without a solve)."""
+    solved = [_searched_target(*target) for target in targets]
+    return [(x, y) for x, y in solved if y - phi_boundary(x) > 1e-12]
 
 
 def _evaluations(solver, x: float, y: float) -> int:
@@ -621,11 +685,7 @@ class TestRootSearch:
     def test_no_root_takes_more_than_one_evaluation_over_bisection(self):
         """A 45 x 48 grid of (1 + tau gap, share of the slice between the
         boundaries) next to both corners, and the sliver targets."""
-        targets = list(SLIVER_TARGETS)
-        for gap in np.logspace(-8.0, -1.0, 45):
-            for x in (-1.0 + gap, 1.0 - gap):
-                lo, hi = phi_boundary(x), -phi_boundary(-x)
-                targets += [(x, lo + share * (hi - lo)) for share in np.linspace(0.0, 1.0, 48)]
+        targets = list(SLIVER_TARGETS) + _corner_grid()
         counts = []
         for target in targets:
             x, y = _searched_target(*target)
@@ -638,6 +698,110 @@ class TestRootSearch:
         assert len(counts) > 3500
         itp, bisection = np.sum(counts, axis=0)
         assert itp < 0.75 * bisection
+
+
+# Targets on which the solve is checked closely: the corner next to (1, 1),
+# where ITP took 46 evaluations; targets on F in floats, where c rounds to 1
+# or y is 1; and one where the float g is 0 on a run of t about 1e-12 wide.
+UPPER_CORNER_TARGET = (0.99999999, 0.9999999920212764)
+FLIP_ROUNDING_TARGET = (-0.9999999855758275, -0.9999999783637412)
+C_ROUNDING_TARGET = (-0.7684979444157374, -0.6629984376209125)
+TOP_EDGE_TARGETS = [(1.0 - 1e-11, 1.0), (1.0 - 5e-12, 1.0)]
+RUN_OF_ZEROS_TARGET = (0.9991452911874408, 0.9999723645643245)
+
+
+class TestSegmentSolve:
+    """``_lower_root`` finds the root's segment in closed form and solves it
+    there; checked against the bisection reference, 50-digit roots and the
+    ITP search that it replaced."""
+
+    def test_lattice_and_segment_two_closed_forms(self):
+        """At tau_k = -1 + 2/k (the prototype with n = k, r = 1/k), Phi is
+        -1 + 2/k^2 and h^2 = (k+1)^2/(2k(k-1)); with H^2 = (1-y)^2/(1-x)^3 =
+        1/(2c), h(tau_k) <= H is c(k+1)^2 <= k(k-1), the quadratic of the
+        segment.  On segment 2, 1 - Phi = 1.5(1 - tau), so h = H at
+        1 - tau = 2.25/H^2 = 4.5c."""
+        k, r, c = sp.symbols("k r c", positive=True)
+        tau, rho = (sp.nsimplify(e, rational=True) for e in _prototype_point(k, 1 / k))
+        assert sp.simplify(tau - (-1 + 2 / k)) == 0
+        assert sp.simplify(rho - (-1 + 2 / k**2)) == 0
+        h2 = (1 - rho) ** 2 / (1 - tau) ** 3
+        assert sp.simplify(h2 - (k + 1) ** 2 / (2 * k * (k - 1))) == 0
+        quadratic = (1 - c) * k**2 - (1 + 2 * c) * k - c
+        assert sp.expand(quadratic - (k * (k - 1) - c * (k + 1) ** 2)) == 0
+        tau2, rho2 = (sp.nsimplify(e, rational=True) for e in _prototype_point(2, r))
+        assert sp.expand((1 - rho2) - sp.Rational(3, 2) * (1 - tau2)) == 0
+
+    def test_segment_is_the_bisection_roots(self):
+        """The closed-form n equals ``segment_index`` of the bisection
+        reference root wherever the reference's 1e-13 bracket lies in one
+        segment, and lies among the segments it spans elsewhere: next to
+        (-1, -1) the segments are narrower than that bracket (2/n^2 < 1e-13
+        for n > 4.5e6)."""
+        random = _solved(_random_targets(2, 3000))
+        corner = _solved(_corner_grid() + SLIVER_TARGETS)
+        single = {"random": 0, "corner": 0}
+        for name, targets in (("random", random), ("corner", corner)):
+            for x, y in targets:
+                t = realize_module._lower_root(x, y)
+                lo, hi = _bisection_bracket(lambda s: _g_lower(x, y, s), 0.0, (1.0 + x) / 4.0)
+                if t == 0.0:
+                    assert lo == 0.0, (x, y, lo)
+                    continue
+                n = region.segment_index(4.0 * t - 1.0)
+                left = region.segment_index(4.0 * lo - 1.0) if lo > 0.0 else math.inf
+                right = region.segment_index(4.0 * hi - 1.0)
+                assert right <= n <= left, (x, y, n, right, left)
+                single[name] += left == right
+        assert single["random"] == len(random) > 2900
+        assert single["corner"] > 3300 and len(corner) > 4000
+
+    def test_iterations(self, monkeypatch):
+        """Newton's steps, counted as boundary evaluations: a few per root,
+        none on segment 2, and never more than the ITP search's evaluations
+        on the same target."""
+        seen = _checked_phi_scalar(monkeypatch)
+        counts = {}
+        for name, targets in (
+            ("random", _random_targets(2, 3000)),
+            ("corner", _corner_grid() + SLIVER_TARGETS),
+        ):
+            counts[name] = []
+            for x, y in _solved(targets):
+                seen.clear()
+                t = realize_module._lower_root(x, y)
+                assert 4.0 * t - 1.0 < 0.0 or not seen, (x, y, seen)  # segment 2: tau >= 0
+                assert len(seen) <= _evaluations(realize_module._itp, x, y), (x, y)
+                counts[name].append(len(seen))
+        assert np.mean(counts["random"]) < 4 and max(counts["random"]) <= 10
+        assert np.mean(counts["corner"]) < 2 and max(counts["corner"]) <= 10
+        seen.clear()
+        t = realize_module._lower_root(*_searched_target(*UPPER_CORNER_TARGET))
+        assert 4.0 * t - 1.0 >= 0.0 and not seen
+
+    def test_flip_rounding_targets_take_t_0(self):
+        """Targets on F in floats.  The first passes ``realize``'s test of F
+        (its c also rounds to 1).  The second lies just below F(x) in floats,
+        with c = 1.0.  At the last two y = 1 and F(x) rounds to 1, so 1 - y
+        is 0 and c cannot be formed."""
+        below = _searched_target(*C_ROUNDING_TARGET)
+        assert below[1] < realize_module._rho_scaled(below[0], -1.0, -1.0)
+        assert (1.0 - below[0]) ** 3 / (2.0 * (1.0 - below[1]) ** 2) == 1.0
+        for target in (FLIP_ROUNDING_TARGET, C_ROUNDING_TARGET, *TOP_EDGE_TARGETS):
+            assert contains(target)
+            assert realize_module._lower_root(*_searched_target(*target)) == 0.0, target
+            _, h = realize(target)
+            assert h.t == 0.0 and h.residual <= 1e-12, (target, h)
+
+    @pytest.mark.parametrize("target", [RUN_OF_ZEROS_TARGET, UPPER_CORNER_TARGET])
+    def test_corner_roots_are_within_1e_15_of_the_exact_root(self, target):
+        """The float g is 0 on a run of t about 1e-12 wide at the first
+        target, which fixed ITP's root only to the run (1.4e-13 away)."""
+        x, y = _searched_target(*target)
+        _, _, v, t = realize_module._lower_half(x, y, phi_boundary(x))
+        assert v == 4.0 * t - 1.0
+        with mpmath.workdps(50):
+            assert abs(_exact_root(x, y, t) - mpmath.mpf(t)) <= 1e-15
 
 
 def _base_shuffle(base):

@@ -1,6 +1,7 @@
 """Boundary functions, membership, and area of the attainable region."""
 
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -502,6 +503,26 @@ class TestClassicalRegion:
         lo, hi = classical_rho_bounds(0.5)
         assert lo == pytest.approx(0.25)     # Daniels line is the binding one
         assert hi == pytest.approx(0.875)    # Durbin-Stuart caps the top
+
+    def test_non_finite_tau_is_rejected(self):
+        for tau in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="classical_rho_bounds: tau=.* is not finite"):
+                classical_rho_bounds(tau)
+        assert classical_rho_bounds(np.array(0.5)) == classical_rho_bounds(np.float32(0.5)) == (0.25, 0.875)
+
+    def test_membership_stays_a_predicate_for_nan(self):
+        for p in ((math.nan, 0.0), (0.0, math.nan)):
+            assert classical_contains(p) is False
+            assert contains(p) is False
+
+    @pytest.mark.parametrize(
+        "p,shown",
+        [((0.2,), "target (0.2,) is not"), (("0.2", 0.1), "tau must be a real"), ((0.2, True), "rho must be a real")],
+    )
+    def test_points_are_read_by_one_reader(self, p, shown):
+        for predicate in (contains, classical_contains):
+            with pytest.raises(ValueError, match=re.escape(f"{predicate.__name__}: {shown}")):
+                predicate(p)
 
     def test_exact_region_is_inside(self):
         rng = np.random.default_rng(7)

@@ -120,6 +120,12 @@ class TestValidation:
         assert SimplexWeights((1, 0)).u == (1.0, 0.0)
         assert make_shuffle((np.int32(2), 1), (np.float32(0.25), 0.75), (1, np.int8(-1))) == sh
 
+    def test_int8_signs_are_copied_without_widening(self):
+        signs = np.array([1, -1], dtype=np.int8)
+        stored = make_shuffle((2, 1), (0.5, 0.5), signs).as_arrays()[2]
+        assert stored.dtype == np.int8 and not np.shares_memory(stored, signs)
+        assert not stored.flags.writeable
+
     @pytest.mark.parametrize("int_type", [np.int8, np.int32, np.uint16, np.int64])
     @pytest.mark.parametrize("float_type", [np.float32, np.float64, np.int64])
     def test_int_and_float_arrays_are_accepted(self, int_type, float_type):
@@ -137,7 +143,12 @@ class TestValidation:
             (lambda: Permutation((9, 1, 1)), "perm[0] = 9 outside 1..3"),
             (lambda: Permutation((-(2**63), 1)), f"perm[0] = {-(2**63)} outside 1..2"),
             (lambda: make_shuffle((1, 2), (0.5, 0.5), (1, 2**63 - 1)), f"signs[1] = {2**63 - 1} is not -1 or 1"),
-            (lambda: Permutation((2**64, 1)), "perm: "),
+            (
+                lambda: Permutation((2**64, 1)),
+                f"perm[0] = {2**64} is outside the int64 range [{-(2**63)}, {2**63 - 1}]",
+            ),
+            (lambda: make_shuffle((1, 2), (0.5, 0.5), (1, -(2**70))), f"signs[1] = {-(2**70)} is outside the int64"),
+            (lambda: SimplexWeights((0.5, 10**400)), "weights[1] = 1000"),
         ],
     )
     def test_errors_name_the_entry_and_the_bound(self, build, shown):
