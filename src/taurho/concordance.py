@@ -234,7 +234,7 @@ class InversionData:
 
 def inversion_data(perm: Permutation) -> InversionData:
     pairs, triples = _positions(perm.n)
-    inverted, cyclic = _incidence(perm.as_array())
+    inverted, cyclic = _incidence(perm.as_arrays()[0])
     return InversionData(
         frozenset(map(tuple, (pairs.T[inverted] + 1).tolist())),
         frozenset(map(tuple, (triples.T[cyclic] + 1).tolist())),
@@ -243,7 +243,7 @@ def inversion_data(perm: Permutation) -> InversionData:
 
 def _weights_array(u, n: int) -> np.ndarray:
     if isinstance(u, SimplexWeights):
-        arr = u.as_array()
+        arr = u.as_arrays()[0]
     else:
         arr = np.asarray(u, dtype=float)
     if arr.shape != (n,):
@@ -261,7 +261,7 @@ def ab_values(perm: Permutation, u) -> tuple[float, float]:
     polynomials, so ``u`` is not required to be normalised (the
     perturbation checks feed in off-simplex points on purpose).
     """
-    a, b = _ab(*_incidence(perm.as_array()), _weights_array(u, perm.n)[None])
+    a, b = _ab(*_incidence(perm.as_arrays()[0]), _weights_array(u, perm.n)[None])
     return float(a[0]), float(b[0])
 
 
@@ -317,7 +317,7 @@ def perturbation_coeffs(perm: Permutation, u, delta) -> PerturbationCoeffs:
         raise ValueError(f"delta must have shape ({n},), got {d.shape}")
     if abs(float(d.sum())) > 1e-12:
         raise ValueError(f"delta must sum to zero, got {float(d.sum())!r}")
-    c = _coeffs(*_tensors(*_incidence(perm.as_array()), n), arr, d)
+    c = _coeffs(*_tensors(*_incidence(perm.as_arrays()[0]), n), arr, d)
     return replace(
         c, **{f: float(getattr(c, f)) for f in ("alpha1", "alpha2", "beta1", "beta2", "beta3")}
     )

@@ -26,7 +26,7 @@ base under the ordinal sum follows three rules:
 
 1. if the prototype at v has more than PROTOTYPE_N_CAP pieces, the
    two-piece near-flip wedge solved exactly for the target, if there is
-   one;
+   one, its w bisected on the sign of the rho residual;
 2. else the prototype at v, if it has at most 2**15 pieces;
 3. else (the sliver under the slid wedge curve) the wedge of the same
    tau v, whose rho lies less than 3.4e-7 above the lower boundary for
@@ -51,6 +51,7 @@ from .shuffles import (
     RegionPoint,
     Shuffle,
     _integer,
+    _real,
     _scalar,
     flip_shuffle,
     identity_shuffle,
@@ -176,7 +177,7 @@ def boundary_curve(t: float) -> tuple[Shuffle, RegionPoint]:
     piece count grows like 1/(2t) near t = 0 and 2/(4t-2) just past the
     seam, so measuring here would be quadratic in that count.
     """
-    t = float(t)
+    t = _real("boundary_curve: t", t)
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"boundary_curve: t={t!r} outside [0, 1]")
     if t == 0.0 or t == 1.0:
@@ -230,40 +231,6 @@ def _lower_root(x: float, y: float) -> float:
     return (1.0 + tau) / 4.0
 
 
-def _itp(g, a: float, b: float) -> float:
-    """The root of g on [a, b], given g(a) >= 0 >= g(b), to a bracket of
-    _ROOT_TOL, by ITP (Oliveira & Takahashi, ACM TOMS 47(1), 2020) with
-    k1 = 0.2/(b - a), k2 = 2 and n0 = 1: the regula falsi point, moved
-    k1 (b - a)^k2 toward the midpoint and projected to within r of it.
-    Step j's r is (b - a)2^-j - w/2, for the initial b - a and the current
-    width w, so the bracket ends no wider than bisection's and no root takes
-    more than one step over bisection.  The root returned is the regula
-    falsi point of the final bracket, on a +-1 sign function the midpoint:
-    there ITP takes bisection's steps and root."""
-    ga, gb = g(a), g(b)
-    if ga == 0.0:
-        return a
-    if gb == 0.0:
-        return b
-    k1, reach = 0.2 / (b - a), b - a
-    while True:
-        mid = (a + b) / 2.0
-        xf = (b * ga - a * gb) / (ga - gb) if ga != gb else mid
-        if b - a <= _ROOT_TOL:
-            return xf
-        r, delta = reach - (b - a) / 2.0, k1 * (b - a) ** 2
-        reach /= 2.0
-        xt = xf + math.copysign(delta, mid - xf) if delta <= abs(mid - xf) else mid
-        x = xt if abs(xt - mid) <= r else mid - math.copysign(r, mid - xf)
-        gx = g(x)
-        if gx == 0.0:
-            return x
-        if gx > 0.0:
-            a, ga = x, gx
-        else:
-            b, gb = x, gx
-
-
 def _wedge_point(w: float) -> tuple[float, float]:
     return -1.0 + 2.0 * w * w, -1.0 + 2.0 * w**3
 
@@ -275,10 +242,17 @@ def _solve_wedge(x: float, y: float) -> float | None:
     w_hi = min(math.sqrt(max(1.0 + x, 0.0) / 2.0), 1.0 - 1e-9)
     if achieved(0.0) < 0.0 or achieved(w_hi) > 0.0:
         return None
-    # Search on the sign alone: near its root achieved rounds to 0 on a run
-    # of w, and the root taken is the run's right end (to _ROOT_TOL), not
-    # whichever midpoint first lands inside the run.
-    return _itp(lambda w: 1.0 if achieved(w) >= 0.0 else -1.0, 0.0, w_hi)
+    # Bisect w on the residual's sign alone: near its root achieved rounds
+    # to 0 on a run of w, and the root taken is the run's right end (to
+    # _ROOT_TOL), not whichever midpoint first lands inside the run.
+    a, b = 0.0, w_hi
+    while b - a > _ROOT_TOL:
+        m = (a + b) / 2.0
+        if achieved(m) >= 0.0:
+            a = m
+        else:
+            b = m
+    return (a + b) / 2.0
 
 
 def _ordinal_s(x: float, tau_c: float) -> float:

@@ -20,9 +20,9 @@ Membership tests use closed-region semantics with a 1e-12 tolerance:
 boundary points belong to the region.
 
 A query takes one of two paths, chosen by the input's shape.  A 0-d
-input (a float, a numpy scalar or a 0-d array) is converted with
-``float`` and evaluated with ``math`` on Python floats and ints, and
-gives a float; ``contains`` and per-sample ``theta`` calls take this
+input (a float, a numpy scalar or a 0-d array, not a bool or a str) is
+read by ``_real`` and evaluated with ``math`` on Python floats and ints,
+and gives a float; ``contains`` and per-sample ``theta`` calls take this
 path, and ``realize``'s root solve calls its ``_phi_scalar`` directly.
 An array goes through numpy elementwise, for ``boundary_samples``, the
 quadrature and the main-inequality sweep.  Both paths run the same
@@ -36,7 +36,7 @@ import math
 
 import numpy as np
 
-from .shuffles import RegionPoint, _integer, _scalar
+from .shuffles import RegionPoint, _integer, _real
 
 __all__ = [
     "APERY",
@@ -96,7 +96,7 @@ def segment_index(x: float) -> int:
 
     Ties at shared endpoints resolve to the smaller n; x in [0, 1] gives 2.
     """
-    x = float(x)
+    x = _real("segment_index: x", x)
     if not -1.0 < x <= 1.0:
         raise ValueError(f"segment_index: x={x!r} outside (-1, 1]")
     return _segment_scalar(x)
@@ -126,17 +126,17 @@ def _phi_scalar(x: float) -> float:
     return _phi_segment_value(float(_segment_scalar(x)), x, math.sqrt, max)
 
 
-def _checked(x, lo: float, hi: float, message: str):
-    """x as a float (any 0-d input) or a float array, rejected with
-    ``message`` unless within _DOMAIN_SLACK of [lo, hi], then clipped."""
-    if isinstance(x, float) or np.ndim(x) == 0:
-        v = float(x)
+def _checked(x, lo: float, hi: float, name: str, span: str):
+    """x as a float (a 0-d input read by ``_real``) or a float array, rejected
+    unless within _DOMAIN_SLACK of [lo, hi], spelled ``span``, then clipped."""
+    if type(x) is float or np.ndim(x) == 0:
+        v = x if type(x) is float else _real(f"{name}: x", x)
         if not lo - _DOMAIN_SLACK <= v <= hi + _DOMAIN_SLACK:
-            raise ValueError(message)
+            raise ValueError(f"{name}: argument outside {span}")
         return min(max(v, lo), hi)  # keeps -0.0, as np.clip does
     arr = np.asarray(x, dtype=float)
     if not np.all((arr >= lo - _DOMAIN_SLACK) & (arr <= hi + _DOMAIN_SLACK)):
-        raise ValueError(message)
+        raise ValueError(f"{name}: argument outside {span}")
     return np.clip(arr, lo, hi)
 
 
@@ -148,7 +148,7 @@ def phi_boundary(x):
     input is evaluated in ``math`` and returns a float; an array goes
     through numpy, with the same bits.
     """
-    x = _checked(x, -1.0, 1.0, "phi_boundary: argument outside [-1, 1]")
+    x = _checked(x, -1.0, 1.0, "phi_boundary", "[-1, 1]")
     return _phi_scalar(x) if isinstance(x, float) else _phi(x)
 
 
@@ -159,7 +159,7 @@ def varphi(x):
     segmented 3/2-power curve mirroring phi_boundary in inversion
     coordinates: varphi(x) = (1 - phi_boundary(1 - 4x)) / 12.
     """
-    x = _checked(x, 0.0, 0.5, "varphi: argument outside [0, 1/2]")
+    x = _checked(x, 0.0, 0.5, "varphi", "[0, 1/2]")
     # x/2 is the identity's exact value on [0, 1/4]; taking it directly
     # keeps theta exactly zero there.
     if isinstance(x, float):
@@ -174,14 +174,6 @@ def theta(x):
     """
     v = varphi(x)
     return (float(x) if isinstance(v, float) else np.asarray(x, dtype=float)) - 2.0 * v
-
-
-def _real(name: str, value) -> float:
-    """value as a float: a real number, a numpy scalar or a 0-d array of
-    one, but not a bool or a str; an error names the argument."""
-    if isinstance(value, np.ndarray) and value.ndim == 0:
-        value = value[()]
-    return _scalar(name, value, float)
 
 
 def _coords(p, name: str) -> tuple[float, float]:
@@ -272,8 +264,8 @@ def _panel_sum(f, a: np.ndarray, h: np.ndarray) -> float:
 
 
 def _checked_tol(name: str, tol) -> float:
-    """tol as a float, rejected unless it is > 0 and finite."""
-    tol = float(tol)
+    """tol as a float (read by ``_real``), rejected unless it is > 0 and finite."""
+    tol = _real(f"{name}: tol", tol)
     if not tol > 0.0:
         raise ValueError(f"{name}: tol must be > 0, got {tol!r}")
     if tol == math.inf:

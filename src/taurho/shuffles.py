@@ -20,8 +20,8 @@ notation.
 ``Permutation``, ``SimplexWeights`` and ``Shuffle`` hold their entries
 once, as read-only numpy arrays (int64 images, float64 weights, int8
 signs) that a few vector operations validate; an array passed in is
-copied.  ``as_array()`` and ``as_arrays()`` hand those arrays out, and
-the values compare and hash by their entries.  ``images``, ``u`` and
+copied.  ``as_arrays()`` hands those arrays out, as a tuple, and the
+values compare and hash by their entries.  ``images``, ``u`` and
 ``signs`` are tuple views, built at each read in O(n).  A tuple, list or
 JSON array is judged entry by entry, so that ``True`` or ``1.5`` is
 rejected rather than cast; an ndarray is judged by its dtype.  An error
@@ -83,6 +83,14 @@ def _scalar(name: str, value, plain: type):
 
 def _integer(name: str, value) -> int:
     return _scalar(name, value, int)
+
+
+def _real(name: str, value) -> float:
+    """value as a float: a real number, a numpy scalar or a 0-d array of
+    one, but not a bool or a str; an error names the argument."""
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        value = value[()]
+    return _scalar(name, value, float)
 
 
 def _array(field: str, values, plain: type, narrow=None) -> np.ndarray:
@@ -173,10 +181,6 @@ class Permutation(_Frozen):
     def as_arrays(self) -> tuple[np.ndarray]:
         return (self._images,)
 
-    def as_array(self) -> np.ndarray:
-        """The images as a read-only int64 array."""
-        return self._images
-
     def __call__(self, i: int) -> int:
         """Image of position ``i`` (1-based)."""
         return int(self._images[i - 1])
@@ -213,10 +217,6 @@ class SimplexWeights(_Frozen):
 
     def as_arrays(self) -> tuple[np.ndarray]:
         return (self._u,)
-
-    def as_array(self) -> np.ndarray:
-        """The weights as a read-only float64 array."""
-        return self._u
 
 
 class Shuffle(_Frozen):
@@ -262,9 +262,9 @@ class RegionPoint:
     rho: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tau", float(self.tau))
-        object.__setattr__(self, "rho", float(self.rho))
-        for name, v in (("tau", self.tau), ("rho", self.rho)):
+        for name in ("tau", "rho"):
+            v = _real(name, getattr(self, name))
+            object.__setattr__(self, name, v)
             if not (-1.0 - 1e-12 <= v <= 1.0 + 1e-12):
                 raise ValueError(f"{name}={v!r} outside [-1, 1]")
 
@@ -313,7 +313,7 @@ def evaluate(shuffle: Shuffle, x):
 
     Raises ValueError when any input lies outside [0, 1].
     """
-    arr = np.asarray(x, dtype=float)
+    arr = np.asarray(_real("evaluate: x", x) if np.ndim(x) == 0 else x, dtype=float)
     if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise ValueError("evaluate: argument outside [0, 1]")
     s, t = breakpoints(shuffle)
@@ -341,7 +341,7 @@ def inverse(shuffle: Shuffle) -> Shuffle:
     """
     pinv = shuffle.perm.inverse()
     _, u, e = shuffle.as_arrays()
-    idx = pinv.as_array() - 1
+    idx = pinv.as_arrays()[0] - 1
     return Shuffle(pinv, SimplexWeights(u[idx]), e[idx])
 
 
@@ -358,7 +358,7 @@ def ordinal_sum_with_identity(shuffle: Shuffle, s: float) -> Shuffle:
     identity map.  The construction rescales tau by (1-s)^2 and rho by
     (1-s)^3 toward +1.
     """
-    s = float(s)
+    s = _real("ordinal_sum_with_identity: s", s)
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"s={s!r} outside [0, 1]")
     if s == 0.0:

@@ -155,9 +155,12 @@ def find_pattern(perm: Permutation, pattern: tuple[int, ...]):
 
     ``pattern`` is itself a permutation of 1..k; a hit is a position tuple
     p_1 < ... < p_k whose images compare exactly like the pattern values.
-    Returns None if the permutation avoids the pattern.
+    Returns None if the permutation avoids the pattern.  Raises ValueError
+    unless ``pattern`` is a permutation of 1..k with k >= 1.
     """
-    (found,), (first,) = _first_occurrence(perm.as_array()[None], pattern)
+    if len(pattern) < 1 or sorted(pattern) != list(range(1, len(pattern) + 1)):
+        raise ValueError(f"find_pattern: pattern {pattern!r} is not a permutation of 1..k")
+    (found,), (first,) = _first_occurrence(perm.as_arrays()[0][None], pattern)
     return tuple((first + 1).tolist()) if found else None
 
 

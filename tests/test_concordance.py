@@ -138,7 +138,7 @@ class TestAbValues:
     def test_ties_to_inv_invs_for_straight_shuffles(self, rng):
         for _ in range(100):
             sh = random_shuffle(rng, n_max=9, mixed_signs=False)
-            a, b = ab_values(sh.perm, sh.weights.as_array())
+            a, b = ab_values(sh.perm, sh.weights.as_arrays()[0])
             inv, invs = inv_invs(sh)
             assert inv == pytest.approx(a, abs=1e-14)
             assert b == pytest.approx(a - 2 * invs, abs=1e-14)
@@ -245,7 +245,7 @@ def test_perturbation_expansion_is_exact(rng):
     for _ in range(50):
         n = int(rng.integers(2, 9))
         sh = random_shuffle(rng, n_min=n, n_max=n, mixed_signs=False)
-        u = sh.weights.as_array()
+        u = sh.weights.as_arrays()[0]
         d = rng.standard_normal(n)
         d -= d.mean()
         coeffs = perturbation_coeffs(sh.perm, u, d)

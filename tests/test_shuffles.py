@@ -10,6 +10,7 @@ import pytest
 
 from taurho import (
     Permutation,
+    RegionPoint,
     SimplexWeights,
     breakpoints,
     evaluate,
@@ -176,6 +177,19 @@ class TestValidation:
         assert index is None or f"[{index}]" in message
 
 
+    @pytest.mark.parametrize(
+        "tau,rho,shown",
+        [("0.2", True, "tau must be a real number, got '0.2'"), (0.2, True, "rho must be a real number, got True")],
+    )
+    def test_region_point_reads_real_coordinates(self, tau, rho, shown):
+        """A str or a bool is not cast to a coordinate; an int, a numpy scalar
+        and a 0-d array are, to a Python float."""
+        with pytest.raises(ValueError, match=re.escape(shown)):
+            RegionPoint(tau, rho)
+        point = RegionPoint(np.float64(0.2), np.array(1))
+        assert point == RegionPoint(0.2, 1.0) and type(point.tau) is type(point.rho) is float
+
+
 class TestValueSemantics:
     def test_a_writeable_source_array_is_copied(self):
         images, u, e = np.array([2, 1]), np.array([0.25, 0.75]), np.array([1, -1])
@@ -184,7 +198,7 @@ class TestValueSemantics:
         assert sh == make_shuffle((2, 1), (0.25, 0.75), (1, -1))
 
     def test_arrays_handed_out_are_read_only(self, four_segment):
-        arrays = (*four_segment.as_arrays(), four_segment.perm.as_array(), four_segment.weights.as_array())
+        arrays = (*four_segment.as_arrays(), *four_segment.perm.as_arrays(), *four_segment.weights.as_arrays())
         for arr in arrays:
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -206,7 +220,7 @@ class TestValueSemantics:
         assert hash(SimplexWeights((-0.0, 1.0))) == hash(SimplexWeights((0.0, 1.0)))
 
     def test_one_ulp_makes_a_difference(self, four_segment):
-        u = four_segment.weights.as_array()
+        u = four_segment.weights.as_arrays()[0]
         moved = make_shuffle((4, 2, 1, 3), (u[0], np.nextafter(u[1], 1.0), u[2], u[3]), (1, -1, 1, 1))
         assert moved != four_segment and moved.weights != four_segment.weights
         assert moved.perm == four_segment.perm

@@ -77,6 +77,11 @@ class TestHelpers:
     def test_find_pattern(self, images, pattern, hit):
         assert find_pattern(Permutation(images), pattern) == hit
 
+    @pytest.mark.parametrize("pattern", [(1, 1), ()])
+    def test_find_pattern_rejects_what_is_not_a_permutation(self, pattern):
+        with pytest.raises(ValueError, match=re.escape(f"pattern {pattern!r} is not a permutation")):
+            find_pattern(Permutation((3, 1, 2, 4)), pattern)
+
 
 class TestReport:
     def test_plain_python_types(self):
@@ -108,7 +113,7 @@ def canonicalize(shuffle: Shuffle) -> Shuffle:
     bit-exact pass-through for inputs already in canonical form.  The
     reference that ``verify._prototype_shaped`` is checked against.
     """
-    u = shuffle.weights.as_array()
+    u = shuffle.weights.as_arrays()[0]
     total = float(u.sum())
     keep = (u / total) > _ZERO_WEIGHT
     if not keep.any():  # pragma: no cover - sum constraint makes this unreachable
