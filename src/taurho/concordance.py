@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .shuffles import Permutation, RegionPoint, Shuffle, SimplexWeights, _integer, evaluate
+from .shuffles import Permutation, RegionPoint, Shuffle, SimplexWeights, _integer, _reals, evaluate
 
 __all__ = [
     "inv_invs",
@@ -241,13 +241,16 @@ def inversion_data(perm: Permutation) -> InversionData:
     )
 
 
-def _weights_array(u, n: int) -> np.ndarray:
-    if isinstance(u, SimplexWeights):
-        arr = u.as_arrays()[0]
-    else:
-        arr = np.asarray(u, dtype=float)
+def _weights_array(name: str, u, n: int) -> np.ndarray:
+    """u as a finite float array of shape (n,): a SimplexWeights' array or an
+    array-like read by ``_reals``; an error names ``name`` and the entry."""
+    arr = u.as_arrays()[0] if isinstance(u, SimplexWeights) else _reals(name, u)
     if arr.shape != (n,):
-        raise ValueError(f"weights must have shape ({n},), got {arr.shape}")
+        raise ValueError(f"{name} must have shape ({n},), got {arr.shape}")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise ValueError(f"{name}[{i}] = {float(arr[i])!r} is not finite")
     return arr
 
 
@@ -258,10 +261,11 @@ def ab_values(perm: Permutation, u) -> tuple[float, float]:
     over the cyclic-descent triples.  For simplex weights on a straight
     shuffle these determine both coefficients: ``tau = 1 - 4a`` and
     ``rho = 1 - 6(a - b)``.  Here they are evaluated as formal
-    polynomials, so ``u`` is not required to be normalised (the
-    perturbation checks feed in off-simplex points on purpose).
+    polynomials, so ``u`` may be any finite real vector, on the simplex or
+    off it (the perturbation checks feed in off-simplex points on
+    purpose); a NaN or infinite entry raises ValueError.
     """
-    a, b = _ab(*_incidence(perm.as_arrays()[0]), _weights_array(u, perm.n)[None])
+    a, b = _ab(*_incidence(perm.as_arrays()[0]), _weights_array("weights", u, perm.n)[None])
     return float(a[0]), float(b[0])
 
 
@@ -310,11 +314,12 @@ def _coeffs(pair_mat, triple_ten, u, d) -> PerturbationCoeffs:
 
 
 def perturbation_coeffs(perm: Permutation, u, delta) -> PerturbationCoeffs:
+    """The expansion of a and b at u along delta, a direction summing to
+    zero within 1e-12.  As in ``ab_values``, u may be any finite real
+    vector, on the simplex or off it; a NaN or infinite entry of u or
+    delta raises ValueError."""
     n = perm.n
-    arr = _weights_array(u, n)
-    d = np.asarray(delta, dtype=float)
-    if d.shape != (n,):
-        raise ValueError(f"delta must have shape ({n},), got {d.shape}")
+    arr, d = _weights_array("weights", u, n), _weights_array("delta", delta, n)
     if abs(float(d.sum())) > 1e-12:
         raise ValueError(f"delta must sum to zero, got {float(d.sum())!r}")
     c = _coeffs(*_tensors(*_incidence(perm.as_arrays()[0]), n), arr, d)

@@ -24,10 +24,12 @@ input (a float, a numpy scalar or a 0-d array, not a bool or a str) is
 read by ``_real`` and evaluated with ``math`` on Python floats and ints,
 and gives a float; ``contains`` and per-sample ``theta`` calls take this
 path, and ``realize``'s root solve calls its ``_phi_scalar`` directly.
-An array goes through numpy elementwise, for ``boundary_samples``, the
-quadrature and the main-inequality sweep.  Both paths run the same
-correctly rounded operations (the 3/2 power is taken as
-``excess * sqrt(excess)``) in the same order, so they give the same bits.
+Any other input is read by ``_reals`` (an ndarray by its dtype, a list
+by its entries) and goes through numpy elementwise, for
+``boundary_samples``, the quadrature and the main-inequality sweep.
+Both paths run the same correctly rounded operations (the 3/2 power is
+taken as ``excess * sqrt(excess)``) in the same order, so they give the
+same bits.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import math
 
 import numpy as np
 
-from .shuffles import RegionPoint, _integer, _real
+from .shuffles import RegionPoint, _integer, _real, _reals
 
 __all__ = [
     "APERY",
@@ -127,14 +129,15 @@ def _phi_scalar(x: float) -> float:
 
 
 def _checked(x, lo: float, hi: float, name: str, span: str):
-    """x as a float (a 0-d input read by ``_real``) or a float array, rejected
-    unless within _DOMAIN_SLACK of [lo, hi], spelled ``span``, then clipped."""
+    """x as a float (a 0-d input read by ``_real``) or a float array (read by
+    ``_reals``), rejected unless within _DOMAIN_SLACK of [lo, hi], spelled
+    ``span``, then clipped."""
     if type(x) is float or np.ndim(x) == 0:
         v = x if type(x) is float else _real(f"{name}: x", x)
         if not lo - _DOMAIN_SLACK <= v <= hi + _DOMAIN_SLACK:
             raise ValueError(f"{name}: argument outside {span}")
         return min(max(v, lo), hi)  # keeps -0.0, as np.clip does
-    arr = np.asarray(x, dtype=float)
+    arr = _reals(f"{name}: x", x)
     if not np.all((arr >= lo - _DOMAIN_SLACK) & (arr <= hi + _DOMAIN_SLACK)):
         raise ValueError(f"{name}: argument outside {span}")
     return np.clip(arr, lo, hi)
@@ -152,6 +155,15 @@ def phi_boundary(x):
     return _phi_scalar(x) if isinstance(x, float) else _phi(x)
 
 
+def _varphi(x):
+    """varphi on a float or an array already in [0, 1/2], without checks.
+    x/2 is the identity's exact value on [0, 1/4]; taking it directly keeps
+    theta exactly zero there."""
+    if isinstance(x, float):
+        return x / 2.0 if x <= 0.25 else (1.0 - _phi_scalar(1.0 - 4.0 * x)) / 12.0
+    return np.where(x <= 0.25, x / 2.0, (1.0 - _phi(1.0 - 4.0 * x)) / 12.0)
+
+
 def varphi(x):
     """Maximal invs compatible with inv = x, for x in [0, 1/2].
 
@@ -159,12 +171,7 @@ def varphi(x):
     segmented 3/2-power curve mirroring phi_boundary in inversion
     coordinates: varphi(x) = (1 - phi_boundary(1 - 4x)) / 12.
     """
-    x = _checked(x, 0.0, 0.5, "varphi", "[0, 1/2]")
-    # x/2 is the identity's exact value on [0, 1/4]; taking it directly
-    # keeps theta exactly zero there.
-    if isinstance(x, float):
-        return x / 2.0 if x <= 0.25 else (1.0 - _phi_scalar(1.0 - 4.0 * x)) / 12.0
-    return np.where(x <= 0.25, x / 2.0, (1.0 - _phi(1.0 - 4.0 * x)) / 12.0)
+    return _varphi(_checked(x, 0.0, 0.5, "varphi", "[0, 1/2]"))
 
 
 def theta(x):
@@ -172,7 +179,7 @@ def theta(x):
 
     Vanishes on [0, 1/4], is non-decreasing, and reaches 1/6 at x = 1/2.
     """
-    v = varphi(x)
+    v = _varphi(_checked(x, 0.0, 0.5, "theta", "[0, 1/2]"))
     return (float(x) if isinstance(v, float) else np.asarray(x, dtype=float)) - 2.0 * v
 
 

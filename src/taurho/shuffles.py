@@ -93,6 +93,24 @@ def _real(name: str, value) -> float:
     return _scalar(name, value, float)
 
 
+def _reals(name: str, values) -> np.ndarray:
+    """values as a float64 array: an ndarray judged by its dtype (integers
+    or floats), any other array-like entry by entry as ``_real`` judges one,
+    so that ``['0.5', True]`` is rejected rather than cast; an error names
+    the argument and the first offending index."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind not in "iuf":
+            raise ValueError(f"{name} must be an array of real numbers, got dtype {values.dtype}")
+        return np.asarray(values, dtype=float)
+    entries = np.array(values, dtype=object)
+    types = set(map(type, entries.flat))
+    if not types <= {float} and any(_wrong_type(t, float) for t in types):
+        i = next(i for i, v in enumerate(entries.flat) if _wrong_type(type(v), float))
+        at = list(map(int, np.unravel_index(i, entries.shape)))
+        raise ValueError(f"{name} entries must be real numbers, got {entries.flat[i]!r} at index {at}")
+    return entries.astype(float)
+
+
 def _array(field: str, values, plain: type, narrow=None) -> np.ndarray:
     """``values`` as a new nonempty 1-D int64 (``plain`` int) or float64
     (``plain`` float) array, owned by the caller; an ndarray that casts
@@ -313,7 +331,7 @@ def evaluate(shuffle: Shuffle, x):
 
     Raises ValueError when any input lies outside [0, 1].
     """
-    arr = np.asarray(_real("evaluate: x", x) if np.ndim(x) == 0 else x, dtype=float)
+    arr = np.asarray(_real("evaluate: x", x)) if np.ndim(x) == 0 else _reals("evaluate: x", x)
     if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise ValueError("evaluate: argument outside [0, 1]")
     s, t = breakpoints(shuffle)

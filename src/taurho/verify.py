@@ -1,17 +1,20 @@
 """Numeric and combinatorial checks of the library's load-bearing facts.
 
 Each check exercises one identity, inequality, or structural claim on an
-exhaustive grid or a seeded random sample and condenses the outcome into
-a :class:`VerificationReport`.  Margins are oriented so that bigger is
-safer: a check passes when its worst margin stays above minus the
-tolerance declared for that check.  Identity-style checks therefore
-report minus the largest deviation seen.
+exhaustive grid, a finite pattern set or a seeded random sample and
+condenses the outcome into a :class:`VerificationReport`.  Margins are
+oriented so that bigger is safer: a check passes when its worst margin
+stays above minus the tolerance declared for that check.  Identity-style
+checks therefore report minus the largest deviation seen.
 
 The two exhaustive checks do only the work their claims need.  The main
 inequality sweeps one permutation per orbit of the symmetries that keep
 a and b, counting each entry once per member of its orbit, and reports
 as the full sweep would.  The minimizer lemma is decided on its finite
-candidate set, which holds every minimiser by Lagrange.
+candidate set, which holds every minimiser by Lagrange.  Two exact
+checks decide the triangle and swap-descent lemmas for every n on the
+0/1 incidence tensors of a few permutations of 4, and only validate
+their ``(samples, seed)``; the perturbation and delta checks sample.
 
 Everything is deterministic given (seed, parameters), and all
 reductions are order-fixed min/max folds.  The sampled checks draw from
@@ -61,7 +64,6 @@ __all__ = [
 _MAIN_TOL = 1e-10
 _EQUALITY_TOL = 1e-12
 _IDENTITY_TOL = 1e-12
-_EXACT_TOL = 1e-14
 _MAIN_BUDGET = 50_000_000
 _MINIMIZER_BUDGET = 1 << 20
 # (permutation, lattice row) entries of one block of the main sweep
@@ -478,46 +480,32 @@ def check_perturbation_identities(samples: int, seed: int) -> VerificationReport
 # --- triangle inequality for the c coefficients ---------------------------
 
 def check_triangle_inequality(samples: int, seed: int) -> VerificationReport:
-    """c[p,r] + c[q,r] >= c[p,q] >= 0 whenever {p,q,r} is not a descent triple."""
-    samples, rng = _sampled(samples, seed)
-    worst = (math.inf, -1, {})  # (margin, draw index, witness)
-    qualifying = 0
-    vacuous = 0
-    draw = lambda rng, count, n: (_permutations(rng, count, n),)
-    for index, n, u, images in _samples(samples, rng, 3, draw):
-        triple_ten = concordance._tensors(*concordance._incidence(images), n)[1]
-        c = concordance._matvec(triple_ten, u)
-        # (p, q, r) over the lex-ordered pairs p < q (rows) and every r
-        p, q = concordance._positions(n)[0]
-        r = np.arange(n)
-        keep = (r != p[:, None]) & (r != q[:, None]) & (triple_ten[:, p, q] == 0.0)
-        cpq = c[:, p, q][..., None]
-        margins = np.where(keep, np.minimum(c[:, p] + c[:, q] - cpq, cpq), np.inf)
-        margins = margins.reshape(len(u), -1)
-        qualifying += int(keep.sum())
-        vacuous += int((~keep.any(axis=(1, 2))).sum())
-        at = margins.argmin(axis=1)
-        margin = margins[np.arange(len(u)), at]  # inf for a sample with no qualifying triple
-        s = int(np.argmin(margin))
-        if (margin[s], index[s]) < worst[:2]:
-            i, k = divmod(int(at[s]), n)
-            worst = (float(margin[s]), int(index[s]), {
-                "n": n,
-                "perm": images[s].tolist(),
-                "u": u[s].tolist(),
-                "pqr": [int(p[i]) + 1, int(q[i]) + 1, k + 1],
-                "margin": float(margin[s]),
-            })
-    margin, _, info = worst
-    if qualifying == 0:
-        margin, info = 0.0, {"note": "no qualifying triples in any sample"}
+    """c[p,r] + c[q,r] >= c[p,q] >= 0 whenever {p,q,r} is not a descent
+    triple, decided exactly for every n and every simplex point.
+
+    c[p,q] = sum_s T[p,q,s] u_s for the 0/1 cyclic-descent tensor T, so
+    c >= 0 and the gap is linear in u, with coefficient T[p,r,s] +
+    T[q,r,s] - T[p,q,s] at s: 0 for s in {p,q,r} by the premise T[p,q,r]
+    = 0, and otherwise fixed by the relative order of the positions and
+    images of p, q, r, s.  So the permutations of 4 with every role
+    assignment, p < q, decide the lemma; the margin is the least
+    coefficient.  ``samples`` and ``seed`` are only validated.
+    """
+    _sampled(samples, seed)
+    perms = np.array(list(itertools.permutations(range(1, 5))))
+    t = concordance._tensors(*concordance._incidence(perms), 4)[1]
+    p, q, r, s = np.array([o for o in itertools.permutations(range(4)) if o[0] < o[1]]).T
+    coef = t[:, p, r, s] + t[:, q, r, s] - t[:, p, q, s]
+    qualifying = t[:, p, q, r] == 0.0
+    margin = coef[qualifying].min()
+    i, j = np.argwhere(qualifying & (coef == margin))[0]
     return VerificationReport(
         check_name="triangle_inequality",
-        instances_tested=qualifying,
+        instances_tested=qualifying.sum(),
         worst_margin=margin,
-        worst_witness=_witness(**info),
-        passed=margin >= -_EXACT_TOL,
-        notes=f"{samples} permutations sampled, {vacuous} with no qualifying triple",
+        worst_witness=_witness(perm=perms[i].tolist(), pqrs=[int(v[j]) + 1 for v in (p, q, r, s)]),
+        passed=margin >= 0.0,
+        notes="exact: the permutations of 4 with every role assignment, p < q",
     )
 
 
@@ -636,62 +624,39 @@ def check_almost_decreasing_classification(l_max: int) -> VerificationReport:
 # --- swap descent ---------------------------------------------------------
 
 def check_swap_descent(samples: int, seed: int) -> VerificationReport:
-    """Swapping the pieces holding values 1 and n changes (a, b) by the
-    closed forms u_k*u_{k+1} and -u_k*u_{k+1}*(sum of the other weights),
-    strictly worsening the margin b - theta(a).
+    """Swapping adjacent pieces k, k+1 that hold the values 1 and n, each
+    keeping its weight, changes a by u_k*u_{k+1} and b by -u_k*u_{k+1}*(sum
+    of the other weights), as polynomials; theta being nondecreasing, the
+    margin b - theta(a) falls.
 
-    Permutations are drawn as two decreasing blocks with 1 closing the
-    first block and n opening the second, which is exactly the shape the
-    swap argument needs (pi(1) != n, pi(n) != 1, pi(k+1) = n for
-    k = position of 1).
+    Relabelled to the pieces, the pair tensor must gain exactly the pair
+    (k, k+1) and the triple tensor lose exactly the triples {k, k+1, s}
+    (213 -> 231, 132 -> 312), nothing else changing.  An entry's change
+    depends only on its pieces' pattern, so the 6 permutations of 4 with 1
+    right before 4 (s before and after the pair, and triples with one
+    swapped piece) decide it for every n.  The margin is minus the number
+    of wrong entries; ``samples`` and ``seed`` are only validated.
     """
-    samples, rng = _sampled(samples, seed)
-    worst = (math.inf, -1, {})  # (margin, draw index, witness)
-    min_decrease = math.inf
-    # does value 2, ..., n - 1 join 1 in block A
-    draw = lambda rng, count, n: (rng.integers(0, 2, size=(count, n - 2)) == 1,)
-    for index, n, u, in_a in _samples(samples, rng, 3, draw):
-        rows = np.arange(len(u))[:, None]
-        in_a = np.column_stack([np.ones(len(u), bool), in_a, np.zeros(len(u), bool)])
-        # block A (the values in_a) decreasing, then block B decreasing
-        images = np.argsort(np.where(in_a, 0, n + 1) - np.arange(1, n + 1), axis=1) + 1
-        k = in_a.sum(axis=1)
-        swap = np.column_stack([k - 1, k])  # the 0-based positions of values 1 and n
-        structural_ok = (
-            (images[rows, swap] == (1, n)).all(axis=1) & (images[:, 0] != n) & (images[:, -1] != 1)
-        )
-        images2, u2 = images.copy(), u.copy()
-        images2[rows, swap] = images[rows, swap[:, ::-1]]
-        u2[rows, swap] = u[rows, swap[:, ::-1]]
-
-        masks = concordance._incidence(np.stack([images, images2], axis=1))
-        at = np.stack([u, u2], axis=1)[:, :, None]
-        a, b = (v[..., 0, 0].T for v in concordance._ab(*(m[..., None, :] for m in masks), at))
-        prod = u[rows, swap].prod(axis=1)
-        rest_sum = u.sum(axis=1) - u[rows[:, 0], k - 1] - u[rows[:, 0], k]
-        dev = np.maximum(abs((a[1] - a[0]) - prod), abs((b[1] - b[0]) + prod * rest_sum))
-        margin0, margin1 = b - theta(a)
-        decrease = margin0 - margin1
-        min_decrease = min(min_decrease, float(decrease.min()))
-        dev = np.where(structural_ok & ~(decrease <= 0.0), dev, np.maximum(dev, 1.0))
-
-        s = int(np.argmin(-dev))
-        if (-dev[s], index[s]) < worst[:2]:
-            worst = (-float(dev[s]), int(index[s]), {
-                "n": n,
-                "perm": images[s].tolist(),
-                "u": u[s].tolist(),
-                "k": int(k[s]),
-                "deviation": float(dev[s]),
-                "margin_decrease": float(decrease[s]),
-            })
+    _sampled(samples, seed)
+    perms = np.array([o for o in itertools.permutations(range(1, 5)) if o.index(4) == o.index(1) + 1])
+    k, at = (perms == 1).argmax(axis=1)[:, None], np.arange(4)
+    pieces = at + (at == k) - (at == k + 1)  # the piece at each position after the swap
+    pair, triple = concordance._tensors(*concordance._incidence(perms), 4)
+    after = concordance._tensors(*concordance._incidence(np.take_along_axis(perms, pieces, 1)), 4)
+    # by piece: the swap is an involution, so piece a sits at position pieces[a]
+    pair2, triple2 = (np.array([x[np.ix_(*[i] * x.ndim)] for x, i in zip(t, pieces)]) for t in after)
+    # the pair (k, k+1) is gained, the triples {k, k+1, s} are lost
+    pairs, triples = ((x[:, None] == k) | (x[:, None] == k + 1) for x in concordance._positions(4))
+    gain, loss = concordance._tensors(pairs.all(axis=0), triples.sum(axis=0) == 2, 4)
+    wrong = (pair2 - pair != gain).sum(axis=(1, 2)) + (triple2 - triple != -loss).sum(axis=(1, 2, 3))
+    i = int(wrong.argmax())
     return VerificationReport(
         check_name="swap_descent",
-        instances_tested=samples,
-        worst_margin=worst[0],
-        worst_witness=_witness(**worst[2]),
-        passed=worst[0] >= -_EXACT_TOL,
-        notes=f"smallest margin decrease {min_decrease:.3e}",
+        instances_tested=len(perms),
+        worst_margin=-wrong.sum(),
+        worst_witness=_witness(perm=perms[i].tolist(), k=int(k[i, 0]) + 1, wrong_entries=int(wrong[i])),
+        passed=wrong.sum() == 0,
+        notes="exact: the permutations of 4 with 1 right before 4",
     )
 
 

@@ -6,6 +6,8 @@ the reference-shuffle assertions below keep both routes in the suite.
 """
 
 import itertools
+import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -134,6 +136,22 @@ class TestAbValues:
         a, b = ab_values(Permutation((2, 1)), np.array([2.0, -1.0]))
         assert a == pytest.approx(-2.0)
         assert b == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        perm = Permutation((2, 1, 3))
+        with pytest.raises(ValueError, match=re.escape(f"weights[1] = {bad!r} is not finite")):
+            ab_values(perm, [0.5, bad, 0.5])
+        with pytest.raises(ValueError, match=re.escape(f"weights[0] = {bad!r} is not finite")):
+            perturbation_coeffs(perm, np.array([bad, 0.5, 0.5]), np.array([1.0, -1.0, 0.0]))
+        with pytest.raises(ValueError, match=re.escape(f"delta[2] = {bad!r} is not finite")):
+            perturbation_coeffs(perm, np.full(3, 1 / 3), [1.0, -1.0, bad])
+
+    def test_rejects_entries_that_are_not_numbers(self):
+        with pytest.raises(ValueError, match=re.escape("weights entries must be real numbers, got True at index [2]")):
+            ab_values(Permutation((2, 1, 3)), [0.5, 0.5, True])
+        with pytest.raises(ValueError, match=re.escape("delta entries must be real numbers, got '1' at index [0]")):
+            perturbation_coeffs(Permutation((2, 1)), [0.5, 0.5], ["1", -1.0])
 
     def test_ties_to_inv_invs_for_straight_shuffles(self, rng):
         for _ in range(100):

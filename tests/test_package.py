@@ -82,7 +82,7 @@ SCALAR_ARGUMENTS = [
     (classical_area_quadrature, 1e-6, "classical_area_quadrature: tol"),
     (phi_boundary, -0.5, "phi_boundary: x"),
     (varphi, 0.3, "varphi: x"),
-    (theta, 0.3, "varphi: x"),
+    (theta, 0.3, "theta: x"),
     (lambda s: ordinal_sum_with_identity(_SHUFFLE, s), 0.25, "ordinal_sum_with_identity: s"),
     (lambda x: evaluate(_SHUFFLE, x), 0.5, "evaluate: x"),
     (lambda tau: RegionPoint(tau, 0.1), 0.2, "tau"),
@@ -99,6 +99,31 @@ def test_scalar_arguments_are_read_as_real_numbers(call, ok, name):
     expected = call(ok)
     for kind in (np.float64, np.array):
         assert call(kind(ok)) == expected
+
+
+# Array arguments, read by one reader: a list is judged entry by entry, so a
+# bool or a str in it is rejected with the argument and its index, as is an
+# ndarray of neither integers nor floats.
+ARRAY_ARGUMENTS = [
+    (phi_boundary, [0.5, 1], "phi_boundary: x"),
+    (varphi, [0.0, 0.3], "varphi: x"),
+    (theta, [0.0, 0.3], "theta: x"),
+    (lambda x: evaluate(_SHUFFLE, x), [0.5, 1], "evaluate: x"),
+]
+
+
+@pytest.mark.parametrize("call,ok,name", ARRAY_ARGUMENTS)
+def test_array_arguments_are_read_as_real_numbers(call, ok, name):
+    """['0.5', True] and [False] name the first bad entry's index; a bool or
+    str ndarray names its dtype; a list of numbers gives what its array
+    gives."""
+    for bad, got in ((["0.5", True], "'0.5' at index [0]"), ([ok[0], False], "False at index [1]")):
+        with pytest.raises(ValueError, match=re.escape(f"{name} entries must be real numbers, got {got}")):
+            call(bad)
+    for bad in (np.array([True]), np.array(["0.5"])):
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be an array of real numbers, got dtype"):
+            call(bad)
+    assert np.array_equal(call(ok), call(np.array(ok)))
 
 
 def test_import_does_no_check_work():

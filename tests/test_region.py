@@ -255,6 +255,31 @@ class TestVarphiTheta:
         xs = np.linspace(0, 0.25, 40)
         np.testing.assert_allclose(varphi(xs), xs / 2, atol=1e-15)
 
+    def test_theta_is_nondecreasing_exactly(self):
+        """On segment n, where excess = n(1 + x) - 2 >= 0, Phi' = 3/n -
+        (3/2) coef n sqrt(excess) with coef = (n - 2)/(sqrt(2) n^2
+        sqrt(n - 1)) >= 0, so Phi' <= 3/n <= 3/2, with equality only on
+        segment 2.  On (1/4, 1/2], theta(a) = a - (1 - Phi(1 - 4a))/6, so
+        theta'(a) = 1 - (2/3) Phi'(1 - 4a) = 1 - 2/n + coef n sqrt(excess)
+        >= 0; theta is 0 on [0, 1/4] and continuous, as Phi is.  So the
+        swap-descent check's claim that b - theta(a) falls with b holds.
+        Decided in sympy on ``_phi_segment_value``, its float constants
+        made rational (1/sqrt(2) to 15 digits, a positive factor of
+        coef)."""
+        n, x, a = sp.symbols("n x a")
+        m = sp.Symbol("m", integer=True, nonnegative=True)
+        e = sp.Symbol("e", positive=True)  # the excess
+        phi = sp.nsimplify(region._phi_segment_value(n, x, sp.sqrt, lambda excess, zero: excess), rational=True)
+        at_e = (e + 2) / n - 1  # the x of excess e
+        slope = sp.diff(phi, x).subs(x, at_e)
+        coef = sp.simplify((3 / n - slope) / (sp.Rational(3, 2) * n * sp.sqrt(e)))
+        assert coef.free_symbols == {n}
+        assert sp.factor(coef.subs(n, m + 2)).is_nonnegative
+        assert coef.subs(n, 2) == 0
+        assert sp.factor((sp.Rational(3, 2) - 3 / n).subs(n, m + 2)).is_nonnegative
+        rise = sp.diff(a - (1 - phi.subs(x, 1 - 4 * a)) / 6, a).subs(a, (1 - at_e) / 4)
+        assert sp.simplify(rise - (1 - 2 / n + coef * n * sp.sqrt(e))) == 0
+
     def test_theta_is_x_minus_two_varphi(self):
         xs = np.linspace(0, 0.5, 501)
         np.testing.assert_allclose(theta(xs), xs - 2 * varphi(xs), atol=1e-16)
@@ -397,9 +422,9 @@ class TestScalarPath:
             (varphi, math.nan, "varphi: argument outside [0, 1/2]"),
             (varphi, math.inf, "varphi: argument outside [0, 1/2]"),
             (varphi, -0.01, "varphi: argument outside [0, 1/2]"),
-            (theta, math.nan, "varphi: argument outside [0, 1/2]"),
-            (theta, -math.inf, "varphi: argument outside [0, 1/2]"),
-            (theta, np.float64(0.51), "varphi: argument outside [0, 1/2]"),
+            (theta, math.nan, "theta: argument outside [0, 1/2]"),
+            (theta, -math.inf, "theta: argument outside [0, 1/2]"),
+            (theta, np.float64(0.51), "theta: argument outside [0, 1/2]"),
         ],
     )
     def test_domain_errors(self, fn, x, message):

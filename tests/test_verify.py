@@ -840,8 +840,6 @@ class TestSampledChecks:
     def test_swap_descent(self):
         r = check_swap_descent(100, 3)
         assert r.passed
-        # the margin strictly decreased every time
-        assert "smallest margin decrease" in r.notes
 
     def test_determinism(self):
         a = check_swap_descent(50, 11)
@@ -901,10 +899,6 @@ _PINNED_STREAMS = {
         (9, [2, 6, 9, 4, 1, 5, 8, 3, 7]), (8, [6, 8, 3, 7, 1, 4, 2, 5]), (7, [1, 7, 6, 2, 3, 5, 4]),
         (5, [2, 1, 3, 5, 4]), (5, [4, 1, 5, 3, 2]),
     ],
-    "swap": [
-        (9, [8, 7, 5, 4, 3, 2, 1, 9, 6]), (8, [7, 6, 5, 1, 8, 4, 3, 2]), (7, [4, 3, 2, 1, 7, 6, 5]),
-        (5, [2, 1, 5, 4, 3]), (5, [3, 2, 1, 5, 4]),
-    ],
 }
 
 
@@ -935,21 +929,8 @@ def _perturbation_fields(rng, count, n):
 
 
 def _permutation_fields(rng, count, n):
-    """The triangle and delta checks' samples: a permutation each."""
+    """The delta check's samples: a permutation each."""
     return (_permuted(rng, count, n),)
-
-
-def _swap_fields(rng, count, n):
-    """One fair bit per value 2..n-1 (1: it joins 1 in block A)."""
-    return (rng.integers(0, 2, size=(count, n - 2)),)
-
-
-def _swap_permutation(n, bits):
-    """Block A, 1 and the values whose bit is 1, decreasing, then block B,
-    the rest, decreasing."""
-    block_a = sorted([1] + [v for v, bit in zip(range(2, n), bits.tolist()) if bit == 1], reverse=True)
-    block_b = sorted(set(range(1, n + 1)) - set(block_a), reverse=True)
-    return Permutation(tuple(block_a + block_b))
 
 
 def _find_pattern_loop(perm, pattern):
@@ -1011,47 +992,6 @@ def _perturbation_loop(samples, seed, block=_BLOCK):
     )
 
 
-def _triangle_loop(samples, seed, block=_BLOCK):
-    worst = math.inf
-    worst_info: dict = {}
-    qualifying = 0
-    vacuous = 0
-    for n, u, images in _drawn(samples, seed, 3, _permutation_fields, block):
-        perm = Permutation(tuple(images.tolist()))
-        triple_ten = tensors_loop(*concordance._incidence(perm.images), n)[1]
-        c = triple_ten @ u
-        p, q = concordance._positions(n)[0]
-        r = np.arange(n)
-        keep = (r != p[:, None]) & (r != q[:, None]) & (triple_ten[p, q] == 0.0)
-        cpq = c[p, q][:, None]
-        margins = np.where(keep, np.minimum(c[p] + c[q] - cpq, cpq), np.inf)
-        qualifying += int(keep.sum())
-        if not keep.any():
-            vacuous += 1
-            continue
-        i, k = np.unravel_index(int(np.argmin(margins)), margins.shape)
-        if margins[i, k] < worst:
-            worst = float(margins[i, k])
-            worst_info = {
-                "n": n,
-                "perm": list(perm.images),
-                "u": [float(v) for v in u],
-                "pqr": [int(p[i]) + 1, int(q[i]) + 1, int(k) + 1],
-                "margin": worst,
-            }
-    if qualifying == 0:
-        worst = 0.0
-        worst_info = {"note": "no qualifying triples in any sample"}
-    return VerificationReport(
-        check_name="triangle_inequality",
-        instances_tested=qualifying,
-        worst_margin=worst,
-        worst_witness=json.dumps(worst_info, sort_keys=True),
-        passed=worst >= -1e-14,
-        notes=f"{samples} permutations sampled, {vacuous} with no qualifying triple",
-    )
-
-
 def _delta_loop(samples, seed, block=_BLOCK):
     worst = math.inf
     worst_info: dict = {}
@@ -1109,54 +1049,9 @@ def _delta_loop(samples, seed, block=_BLOCK):
     )
 
 
-def _swap_descent_loop(samples, seed, block=_BLOCK):
-    worst = math.inf
-    worst_info: dict = {}
-    min_decrease = math.inf
-    for n, u, bits in _drawn(samples, seed, 3, _swap_fields, block):
-        perm = _swap_permutation(n, bits)
-        k = 1 + int(bits.sum())  # the size of block A
-        structural_ok = perm(k) == 1 and perm(k + 1) == n and perm(1) != n and perm(n) != 1
-        imgs = list(perm.images)
-        imgs[k - 1], imgs[k] = imgs[k], imgs[k - 1]
-        u2 = u.copy()
-        u2[k - 1], u2[k] = u2[k], u2[k - 1]
-        a0, b0 = (float(v) for v in _ab_loop(perm, u))
-        a1, b1 = (float(v) for v in _ab_loop(Permutation(tuple(imgs)), u2))
-        prod = float(u[k - 1] * u[k])
-        rest_sum = float(u.sum() - u[k - 1] - u[k])
-        dev = max(abs((a1 - a0) - prod), abs((b1 - b0) + prod * rest_sum))
-        if not structural_ok:
-            dev = max(dev, 1.0)
-        decrease = (b0 - theta(a0)) - (b1 - theta(a1))
-        min_decrease = min(min_decrease, decrease)
-        if decrease <= 0.0:
-            dev = max(dev, 1.0)
-        if -dev < worst:
-            worst = -dev
-            worst_info = {
-                "n": n,
-                "perm": list(perm.images),
-                "u": [float(v) for v in u],
-                "k": k,
-                "deviation": dev,
-                "margin_decrease": decrease,
-            }
-    return VerificationReport(
-        check_name="swap_descent",
-        instances_tested=samples,
-        worst_margin=worst,
-        worst_witness=json.dumps(worst_info, sort_keys=True),
-        passed=worst >= -1e-14,
-        notes=f"smallest margin decrease {min_decrease:.3e}",
-    )
-
-
 _SAMPLED = {
     check_perturbation_identities: _perturbation_loop,
-    check_triangle_inequality: _triangle_loop,
     check_delta_construction: _delta_loop,
-    check_swap_descent: _swap_descent_loop,
 }
 
 
@@ -1179,9 +1074,7 @@ class TestBatchedSamples:
         "check, samples",
         [
             (check_perturbation_identities, 1000),
-            (check_triangle_inequality, 500),
             (check_delta_construction, 500),
-            (check_swap_descent, 500),
         ],
         ids=lambda v: getattr(v, "__name__", str(v)),
     )
@@ -1236,7 +1129,6 @@ class TestBatchedSamples:
         got = {
             "perturbation": [(n, images.tolist()) for n, _, images, *_ in first(2, _perturbation_fields)],
             "weighted": [(n, images.tolist()) for n, _, images in first(3, _permutation_fields)],
-            "swap": [(n, list(_swap_permutation(n, bits).images)) for n, _, bits in first(3, _swap_fields)],
         }
         assert got == _PINNED_STREAMS
 
@@ -1285,6 +1177,91 @@ def test_swap_descent_three_piece_example():
     a1, b1 = ab_values(Permutation((2, 3, 1)), u_swapped)
     assert a1 - a0 == pytest.approx(u[1] * u[2], abs=1e-15)
     assert b1 - b0 == pytest.approx(-u[1] * u[2] * u[0], abs=1e-15)
+
+
+def _incidence_with(rule):
+    """``concordance._incidence`` with its cyclic rule replaced by
+    ``rule(x, y, z)`` on the images of each lex-ordered triple."""
+    def incidence(images):
+        img = np.asarray(images).T
+        pairs, triples = concordance._positions(len(img))
+        p, q = img[pairs]
+        return np.ascontiguousarray((p > q).T), np.ascontiguousarray(rule(*img[triples]).T)
+    return incidence
+
+
+def _cyclic(x, y, z):
+    return ((x > y) ^ (y > z)) == (z > x)
+
+
+class TestExactLemmas:
+    """The triangle and swap-descent checks decide their lemmas on the
+    permutations of 4; these tests check the reduction on every permutation
+    of 5 and 6, and that a defect in the cyclic rule fails them."""
+
+    def test_reports(self):
+        tri, swap = check_triangle_inequality(1, 0), check_swap_descent(1, 0)
+        assert (tri.passed, tri.worst_margin, tri.instances_tested) == (True, 0.0, 144)
+        assert (swap.passed, swap.worst_margin, swap.instances_tested) == (True, 0.0, 6)
+        assert check_triangle_inequality(500, 909) == tri and check_swap_descent(500, 909) == swap
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_triangle_coefficients_on_every_permutation(self, n):
+        """c[p,r] + c[q,r] - c[p,q] has no negative coefficient, at any s,
+        whenever {p,q,r} is not a descent triple, over every permutation
+        of n and every (p, q, r) with p < q."""
+        perms = np.array(list(itertools.permutations(range(1, n + 1))))
+        t = concordance._tensors(*concordance._incidence(perms), n)[1]
+        p, q, r = np.array([o for o in itertools.permutations(range(n), 3) if o[0] < o[1]]).T
+        coef = t[:, p, r] + t[:, q, r] - t[:, p, q]  # (permutation, (p, q, r), s)
+        assert coef[t[:, p, q, r] == 0.0].min() == 0.0
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_swap_changes_on_every_permutation(self, n):
+        """Every permutation of n with 1 right before n: swapping the two
+        pieces, relabelled to the pieces, adds exactly the pair (k, k+1)
+        and removes exactly the triples {k, k+1, s}, one entry at a time."""
+        count = 0
+        for images in itertools.permutations(range(1, n + 1)):
+            k = images.index(1)
+            if k + 1 == n or images[k + 1] != n:
+                continue
+            count += 1
+            pieces = list(range(n))
+            pieces[k], pieces[k + 1] = k + 1, k
+            swapped = [images[i] for i in pieces]
+            pair, triple = tensors_loop(*concordance._incidence(images), n)
+            pair2, triple2 = tensors_loop(*concordance._incidence(swapped), n)
+            pair2, triple2 = pair2[np.ix_(pieces, pieces)], triple2[np.ix_(pieces, pieces, pieces)]
+            gain = np.zeros((n, n))
+            gain[k, k + 1] = gain[k + 1, k] = 1.0
+            loss = np.zeros((n, n, n))
+            for s in set(range(n)) - {k, k + 1}:
+                for i, j, l in itertools.permutations((k, k + 1, s)):
+                    loss[i, j, l] = 1.0
+            assert np.array_equal(pair2 - pair, gain) and np.array_equal(triple2 - triple, -loss), images
+        assert count == (n - 1) * math.factorial(n - 2)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_the_reference_rule_is_the_incidence(self, n):
+        perms = np.array(list(itertools.permutations(range(1, n + 1))))
+        for got, want in zip(_incidence_with(_cyclic)(perms), concordance._incidence(perms)):
+            assert np.array_equal(got, want)
+
+    def test_a_rule_without_132_fails_both(self, monkeypatch):
+        without_132 = lambda x, y, z: _cyclic(x, y, z) & ~((x < z) & (z < y))
+        monkeypatch.setattr(concordance, "_incidence", _incidence_with(without_132))
+        tri, swap = check_triangle_inequality(1, 0), check_swap_descent(1, 0)
+        assert not tri.passed and tri.worst_margin == -1.0
+        assert not swap.passed and swap.worst_margin < 0.0
+
+    def test_the_complement_rule_fails_swap(self, monkeypatch):
+        """The complement of the cyclic set (123, 231, 312) satisfies the
+        triangle lemma as well, so only the swap check can catch it."""
+        monkeypatch.setattr(concordance, "_incidence", _incidence_with(lambda x, y, z: ~_cyclic(x, y, z)))
+        assert check_triangle_inequality(1, 0).passed
+        swap = check_swap_descent(1, 0)
+        assert not swap.passed and swap.worst_margin < 0.0
 
 
 def test_almost_decreasing_exhaustive_small():
