@@ -33,10 +33,12 @@ base under the ordinal sum follows three rules:
    1 + v < 2**-14.
 
 The wedge of rule 1 comes before the large prototypes of rule 2 because
-a wedge has two pieces, while scoring a prototype of 10^4 to 2^15 pieces
-takes tens of milliseconds.  The solve returns only the base's
-parameters; the witness (ordinal sum, and flip for a mirrored target) is
-built and validated once, from them.
+a wedge has two pieces: building and validating the witness takes about
+50 us for a prototype of 10^4 pieces and 370 us for one of 2^15, against
+15 us for a wedge (timeit, best of 5, on a 2-core Intel Xeon), while a
+typical call of ``realize`` takes about 40 us.  The solve returns only
+the base's parameters; the witness (ordinal sum, and flip for a mirrored
+target) is built and validated once, from them.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from .shuffles import (
     Shuffle,
     _integer,
     _real,
-    _scalar,
     flip_shuffle,
     identity_shuffle,
     make_shuffle,
@@ -94,7 +95,7 @@ class Prototype:
     r: float
 
     def __post_init__(self) -> None:
-        n, r = _integer("prototype n", self.n), _scalar("prototype r", self.r, float)
+        n, r = _integer("prototype n", self.n), _real("prototype r", self.r)
         if n < 2:
             raise ValueError(f"prototype needs n >= 2, got {n}")
         lo, hi = 1.0 / n, 1.0 / (n - 1)
@@ -125,9 +126,8 @@ class HomotopyPoint:
     residual: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "s", float(self.s))
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "residual", float(self.residual))
+        for name in ("s", "t", "residual"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if not 0.0 <= self.s <= 1.0:
             raise ValueError(f"s={self.s!r} outside [0, 1]")
         if not 0.0 <= self.t <= 1.0:

@@ -132,7 +132,7 @@ def _checked(x, lo: float, hi: float, name: str, span: str):
     """x as a float (a 0-d input read by ``_real``) or a float array (read by
     ``_reals``), rejected unless within _DOMAIN_SLACK of [lo, hi], spelled
     ``span``, then clipped."""
-    if type(x) is float or np.ndim(x) == 0:
+    if type(x) is float or not isinstance(x, (list, tuple)) and np.ndim(x) == 0:
         v = x if type(x) is float else _real(f"{name}: x", x)
         if not lo - _DOMAIN_SLACK <= v <= hi + _DOMAIN_SLACK:
             raise ValueError(f"{name}: argument outside {span}")

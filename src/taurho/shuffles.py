@@ -96,8 +96,9 @@ def _real(name: str, value) -> float:
 def _reals(name: str, values) -> np.ndarray:
     """values as a float64 array: an ndarray judged by its dtype (integers
     or floats), any other array-like entry by entry as ``_real`` judges one,
-    so that ``['0.5', True]`` is rejected rather than cast; an error names
-    the argument and the first offending index."""
+    so that ``['0.5', True]`` is rejected rather than cast, and a ragged
+    nest at its first list; an error names the argument and the first
+    offending index."""
     if isinstance(values, np.ndarray):
         if values.dtype.kind not in "iuf":
             raise ValueError(f"{name} must be an array of real numbers, got dtype {values.dtype}")
@@ -331,7 +332,8 @@ def evaluate(shuffle: Shuffle, x):
 
     Raises ValueError when any input lies outside [0, 1].
     """
-    arr = np.asarray(_real("evaluate: x", x)) if np.ndim(x) == 0 else _reals("evaluate: x", x)
+    scalar = not isinstance(x, (list, tuple)) and np.ndim(x) == 0
+    arr = np.asarray(_real("evaluate: x", x)) if scalar else _reals("evaluate: x", x)
     if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise ValueError("evaluate: argument outside [0, 1]")
     s, t = breakpoints(shuffle)
@@ -345,9 +347,7 @@ def evaluate(shuffle: Shuffle, x):
     up = (e[k] == 1)
     y = np.where(up, t[p[k] - 1] + offset, t[p[k]] - offset)
     y = np.clip(y, 0.0, 1.0)
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(y)
-    return y
+    return float(y) if scalar else y
 
 
 def inverse(shuffle: Shuffle) -> Shuffle:

@@ -11,17 +11,18 @@ The two exhaustive checks do only the work their claims need.  The main
 inequality sweeps one permutation per orbit of the symmetries that keep
 a and b, counting each entry once per member of its orbit, and reports
 as the full sweep would.  The minimizer lemma is decided on its finite
-candidate set, which holds every minimiser by Lagrange.  Two exact
-checks decide the triangle and swap-descent lemmas for every n on the
-0/1 incidence tensors of a few permutations of 4, and only validate
-their ``(samples, seed)``; the perturbation and delta checks sample.
+candidate set, which holds every minimiser by Lagrange.  Three exact
+pattern checks decide the triangle, delta-construction and swap-descent
+lemmas for every n on the 0/1 incidence tensors of a few permutations of
+4 and 5, and only validate their ``(samples, seed)``; the perturbation
+check alone samples.
 
 Everything is deterministic given (seed, parameters), and all
-reductions are order-fixed min/max folds.  The sampled checks draw from
-a PCG64 generator one block of at most ``_SAMPLE_BLOCK`` samples at a
-time: first every sample's piece count n, then, for each n in ascending
-order, the simplex weights (normalized standard exponentials) and the
-check's own fields, each with one array call; permutations come from
+reductions are order-fixed min/max folds.  The perturbation check draws
+from a PCG64 generator one block of at most ``_SAMPLE_BLOCK`` samples at
+a time: first every sample's piece count n, then, for each n in
+ascending order, the simplex weights (normalized standard exponentials)
+and its own fields, each with one array call; permutations come from
 ``Generator.permuted``, numpy's Fisher-Yates pass per row.  So the block
 size, which bounds the memory, also defines the stream.  Every registry
 and benchmark size (at most 1,000 samples) fits in one block of 1,024;
@@ -45,7 +46,7 @@ import numpy as np
 
 from . import concordance
 from .region import theta
-from .shuffles import Permutation, _integer
+from .shuffles import Permutation, _integer, _real
 
 __all__ = [
     "VerificationReport",
@@ -85,8 +86,10 @@ class VerificationReport:
 
     def __post_init__(self) -> None:
         # Checks hand in numpy scalars; pin the plain-Python types here.
-        object.__setattr__(self, "instances_tested", int(self.instances_tested))
-        object.__setattr__(self, "worst_margin", float(self.worst_margin))
+        object.__setattr__(self, "instances_tested", _integer("instances_tested", self.instances_tested))
+        object.__setattr__(self, "worst_margin", _real("worst_margin", self.worst_margin))
+        if not isinstance(self.passed, (bool, np.bool_)):
+            raise ValueError(f"passed must be a bool, got {self.passed!r}")
         object.__setattr__(self, "passed", bool(self.passed))
 
     def as_dict(self) -> dict:
@@ -109,15 +112,15 @@ def _sampled(samples: int, seed: int) -> tuple[int, np.random.Generator]:
     return samples, np.random.Generator(np.random.PCG64(_seed(seed)))
 
 
-def _samples(samples: int, rng: np.random.Generator, n_min: int, draw):
-    """Draw ``samples`` samples with n in [n_min, 10] pieces and yield them
+def _samples(samples: int, rng: np.random.Generator, draw):
+    """Draw ``samples`` samples with n in [2, 10] pieces and yield them
     stacked by n: (index, n, u, *fields), each an array with one row per
     sample and ``index`` their places in draw order.  A block of at most
     ``_SAMPLE_BLOCK`` samples draws every n in one call, then, for each n
     in ascending order, the weights u and ``draw(rng, count, n)``."""
     for start in range(0, samples, _SAMPLE_BLOCK):
-        sizes = rng.integers(n_min, 11, size=min(_SAMPLE_BLOCK, samples - start))
-        for n in range(n_min, 11):
+        sizes = rng.integers(2, 11, size=min(_SAMPLE_BLOCK, samples - start))
+        for n in range(2, 11):
             (index,) = np.nonzero(sizes == n)
             if len(index):
                 e = rng.standard_exponential((len(index), n))
@@ -437,7 +440,7 @@ def check_perturbation_identities(samples: int, seed: int) -> VerificationReport
     draw = lambda rng, count, n: (
         _permutations(rng, count, n), rng.standard_normal((count, n)), rng.uniform(-1.0, 1.0, count)
     )
-    for index, n, u, images, d, t in _samples(samples, rng, 2, draw):
+    for index, n, u, images, d, t in _samples(samples, rng, draw):
         d -= d.mean(axis=1, keepdims=True)
         scale = np.abs(d).max(axis=1, keepdims=True)
         np.divide(d, scale, out=d, where=scale > 0.0)
@@ -512,73 +515,49 @@ def check_triangle_inequality(samples: int, seed: int) -> VerificationReport:
 # --- delta construction ---------------------------------------------------
 
 def check_delta_construction(samples: int, seed: int) -> VerificationReport:
-    """The proof's explicit directions kill alpha1, alpha2, beta3 and keep beta2 <= 0.
+    """A permutation holding 1-2-3 or 3-4-1-2 has a zero-sum direction delta
+    on the pattern's pieces with alpha1 = alpha2 = beta3 = 0 and beta2 <= 0,
+    decided exactly for every n and every simplex point.
 
-    Pattern (i) is an increasing triple p<q<r; pattern (ii) an occurrence
-    of the relative order 3-4-1-2 on p<q<r<s.  For a sampled permutation
-    the first pattern found supplies the support of delta; permutations
-    containing neither are counted as skipped.
+    The proof's directions D form a plane, so some nonzero delta in D is
+    orthogonal to any gradient of a: alpha1 = 0 needs no check.  alpha2
+    and beta3 vanish on D when the pair form on D is 0 and the pattern has
+    no cyclic-descent triple; then beta2 = sum_k u_k Q_k(delta) / 2 over the
+    pieces k outside the pattern, Q_k = T[., ., k] on D being fixed by
+    where k sits among the pattern's positions and images.  So the pattern
+    with one more piece in each of its (m + 1)^2 places decides the lemma:
+    each Q_k, a 2x2 integer matrix, must have trace <= 0 and determinant
+    >= 0.  The margin is minus the number of failing cases; ``samples`` and
+    ``seed`` are only validated.
     """
-    samples, rng = _sampled(samples, seed)
-    worst = (math.inf, -1, {})  # (margin, draw index, witness)
-    tested = 0
-    used_i = 0
-    used_ii = 0
-    draw = lambda rng, count, n: (_permutations(rng, count, n),)
-    for index, n, u, images in _samples(samples, rng, 3, draw):
-        pair_mat, triple_ten = concordance._tensors(*concordance._incidence(images), n)
-        a_vec = concordance._matvec(pair_mat, u)
-        found_i, hit_i = _first_occurrence(images, (1, 2, 3))
-        found_ii, hit_ii = _first_occurrence(images, (3, 4, 1, 2))
-        found_ii &= ~found_i
-        (used,) = np.nonzero(found_i | found_ii)
-        tested += len(used)
-        used_i += int(found_i.sum())
-        used_ii += int(found_ii.sum())
-        if not len(used):
-            continue
-        d = np.zeros_like(u)
-        rows = np.flatnonzero(found_i)[:, None]
-        at = a_vec[rows, hit_i[found_i]]  # a at p, q, r
-        d[rows, hit_i[found_i]] = at[:, [1, 2, 0]] - at[:, [2, 0, 1]]
-        rows = np.flatnonzero(found_ii)[:, None]
-        at = a_vec[rows, hit_ii[found_ii]]  # a at p, q, r, s
-        d_p, d_r = at[:, 2] - at[:, 3], at[:, 1] - at[:, 0]
-        d[rows, hit_ii[found_ii]] = np.column_stack([d_p, -d_p, d_r, -d_r])
-
-        d = d[used]
-        p, q = np.where(found_i[:, None], hit_i[:, :2], hit_ii[:, :2])[used].T
-        (tiny,) = np.nonzero(np.abs(d).max(axis=1) <= 1e-14)
-        d[tiny] = 0.0
-        d[tiny, p[tiny]], d[tiny, q[tiny]] = 1.0, -1.0
-        d /= np.abs(d).max(axis=1, keepdims=True)
-        coeffs = concordance._coeffs(pair_mat[used], triple_ten[used], u[used], d)
-        deviation = abs(coeffs.alpha1)
-        for x in (abs(coeffs.alpha2), abs(coeffs.beta3), coeffs.beta2):
-            deviation = np.where(x > deviation, x, deviation)  # as max(): ties keep the first
-        s = int(np.argmin(-deviation))
-        row = used[s]
-        if (-deviation[s], index[row]) < worst[:2]:
-            positions = hit_i[row] if found_i[row] else hit_ii[row]
-            worst = (-float(deviation[s]), int(index[row]), {
-                "n": n,
-                "perm": images[row].tolist(),
-                "u": u[row].tolist(),
-                "delta": d[s].tolist(),
-                "pattern_positions": (positions + 1).tolist(),
-                "coeffs": [float(getattr(coeffs, f)[s]) for f in ("alpha1", "alpha2", "beta2", "beta3")],
-            })
-    margin, _, info = worst
-    if tested == 0:
-        margin, info = 0.0, {"note": "every sampled permutation avoided both patterns"}
-    skipped = samples - tested
+    _sampled(samples, seed)
+    tested, failing = 0, []  # failing cases: (pattern, permutation, 1-based piece)
+    # a basis of D for each pattern: any zero-sum delta on 1-2-3, (x, -x, y, -y) on 3-4-1-2
+    planes = {(1, 2, 3): [[1, 0], [-1, 1], [0, -1]], (3, 4, 1, 2): [[1, 0], [-1, 0], [0, 1], [0, -1]]}
+    for pattern, basis in planes.items():
+        m, basis = len(pattern), np.array(basis)
+        pair, triple = concordance._tensors(*concordance._incidence(pattern), m)
+        flat = not triple.any() and not (basis.T @ pair @ basis).any()
+        # the extra piece at position k with v of the pattern's values below it
+        k, v = np.divmod(np.arange((m + 1) ** 2), m + 1)
+        rows, at = np.arange(len(k)), np.arange(m) + (np.arange(m) >= k[:, None])  # the pattern's positions
+        perms = np.empty((len(k), m + 1), dtype=np.int64)
+        perms[rows[:, None], at], perms[rows, k] = np.add(pattern, np.greater(pattern, v[:, None])), v + 1
+        plane = np.zeros((len(k), m + 1, 2))
+        plane[rows[:, None], at] = basis
+        triple = concordance._tensors(*concordance._incidence(perms), m + 1)[1][rows, :, :, k]
+        q = plane.transpose(0, 2, 1) @ triple @ plane
+        passes = flat & (q[:, 0, 0] + q[:, 1, 1] <= 0) & (q[:, 0, 0] * q[:, 1, 1] - q[:, 0, 1] ** 2 >= 0)
+        tested += len(perms)
+        failing += [(list(pattern), perms[i].tolist(), int(k[i]) + 1) for i in np.flatnonzero(~passes)]
+    witness = dict(zip(("pattern", "perm", "piece"), failing[0])) if failing else {"failing_cases": 0}
     return VerificationReport(
         check_name="delta_construction",
         instances_tested=tested,
-        worst_margin=margin,
-        worst_witness=_witness(**info),
-        passed=margin >= -_IDENTITY_TOL,
-        notes=f"pattern (i) used {used_i} times, pattern (ii) {used_ii}, skipped {skipped}",
+        worst_margin=-len(failing),
+        worst_witness=_witness(**witness),
+        passed=not failing,
+        notes="exact: 1-2-3 and 3-4-1-2 with one more piece in each place",
     )
 
 

@@ -248,7 +248,7 @@ FROZEN_OUTPUTS = [
     ("realize-corner", ["realize", "--tau", "-0.9", "--rho", "-0.95"], "88dcaa40e7cd9e8c1a9cdef8f88a52d8518da71e4d406f80427a96040a2b4820"),
     ("realize-upper", ["realize", "--tau", "0.5", "--rho", "0.6"], "8adb22696ad71ccbe1cd15eace390fa6b9a26e7225cad2389343750ff3bf35d5"),
     ("area", ["area"], "60d7eb3bb76f7c7825e13296e691c28806a511d7416287a5a4c199fdadbf1ed0"),
-    ("verify", ["verify", "--suite", "all", "--seed", "0"], "ee681c51aa62daa596a712fac58af714329cffd19e068630be80d98b13de941e"),
+    ("verify", ["verify", "--suite", "all", "--seed", "0"], "9c0656629943934c85bffd1f572d59ee0b1dcb6d8566b07a7b385ea95a7b344e"),
 ]
 
 

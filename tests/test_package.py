@@ -15,7 +15,12 @@ import pytest
 
 import taurho
 from taurho import (
+    HomotopyPoint,
+    Permutation,
+    Prototype,
     RegionPoint,
+    VerificationReport,
+    ab_values,
     area_quadrature,
     boundary_curve,
     classical_area_quadrature,
@@ -86,6 +91,11 @@ SCALAR_ARGUMENTS = [
     (lambda s: ordinal_sum_with_identity(_SHUFFLE, s), 0.25, "ordinal_sum_with_identity: s"),
     (lambda x: evaluate(_SHUFFLE, x), 0.5, "evaluate: x"),
     (lambda tau: RegionPoint(tau, 0.1), 0.2, "tau"),
+    (lambda s: HomotopyPoint(s, 0.5, 0.0), 0.25, "s"),
+    (lambda t: HomotopyPoint(0.25, t, 0.0), 0.5, "t"),
+    (lambda residual: HomotopyPoint(0.25, 0.5, residual), 1e-9, "residual"),
+    (lambda r: Prototype(3, r), 0.4, "prototype r"),
+    (lambda margin: VerificationReport("c", 1, margin, "{}", True), -0.5, "worst_margin"),
 ]
 
 
@@ -109,15 +119,21 @@ ARRAY_ARGUMENTS = [
     (varphi, [0.0, 0.3], "varphi: x"),
     (theta, [0.0, 0.3], "theta: x"),
     (lambda x: evaluate(_SHUFFLE, x), [0.5, 1], "evaluate: x"),
+    (lambda u: ab_values(Permutation((2, 1)), u), [0.25, 0.75], "weights"),
 ]
 
 
 @pytest.mark.parametrize("call,ok,name", ARRAY_ARGUMENTS)
 def test_array_arguments_are_read_as_real_numbers(call, ok, name):
-    """['0.5', True] and [False] name the first bad entry's index; a bool or
-    str ndarray names its dtype; a list of numbers gives what its array
-    gives."""
-    for bad, got in ((["0.5", True], "'0.5' at index [0]"), ([ok[0], False], "False at index [1]")):
+    """['0.5', True] and [False] name the first bad entry's index, as does
+    a ragged nest its first list; a bool or str ndarray names its dtype; a
+    list of numbers gives what its array gives."""
+    for bad, got in (
+        (["0.5", True], "'0.5' at index [0]"),
+        ([ok[0], False], "False at index [1]"),
+        ([[ok[0]], ok[1]], f"{[ok[0]]!r} at index [0]"),
+        ([ok, [ok[0]]], f"{ok!r} at index [0]"),
+    ):
         with pytest.raises(ValueError, match=re.escape(f"{name} entries must be real numbers, got {got}")):
             call(bad)
     for bad in (np.array([True]), np.array(["0.5"])):

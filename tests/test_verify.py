@@ -29,6 +29,7 @@ from taurho import (
     find_pattern,
     inversion_data,
     make_shuffle,
+    perturbation_coeffs,
     theta,
 )
 from conftest import coeffs_one, fisher_yates, random_shuffle, random_simplex, tensors_loop
@@ -95,6 +96,20 @@ class TestReport:
         assert type(r.instances_tested) is int
         assert type(r.worst_margin) is float
         assert type(r.passed) is bool
+
+    def test_fields_are_read_not_cast(self):
+        """A str, a bool or a fraction is not an instance count, a str not a
+        margin, and only a bool or a numpy bool is a verdict."""
+        for args, match in (
+            (("5", 0.1, "w", True), "instances_tested must be an integer, got '5'"),
+            ((True, 0.1, "w", True), "instances_tested must be an integer, got True"),
+            ((5.5, 0.1, "w", True), "instances_tested must be an integer, got 5.5"),
+            ((5, "0.1", "w", True), "worst_margin must be a real number, got '0.1'"),
+            ((5, 0.1, "w", "no"), "passed must be a bool, got 'no'"),
+            ((5, 0.1, "w", 1), "passed must be a bool, got 1"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
+                VerificationReport("x", *args)
 
     def test_as_dict_round_trips_through_json(self):
         r = VerificationReport("c", 1, 0.0, "{}", True, "note")
@@ -833,9 +848,10 @@ class TestSampledChecks:
         assert r.instances_tested > 0
 
     def test_delta_construction(self):
-        r = check_delta_construction(100, 3)
-        assert r.passed
-        assert "pattern (i)" in r.notes
+        assert check_delta_construction(100, 3) == VerificationReport(
+            "delta_construction", 41, 0.0, '{"failing_cases": 0}', True,
+            "exact: 1-2-3 and 3-4-1-2 with one more piece in each place",
+        )
 
     def test_swap_descent(self):
         r = check_swap_descent(100, 3)
@@ -880,38 +896,32 @@ class TestSampledChecks:
         assert check_perturbation_identities(1000, 676687234).passed
 
 
-# --- per-sample references for the sampled checks --------------------------
-# The checks one sample at a time: ``_drawn`` draws the checks' blocks and
-# hands the samples out in draw order; each is then evaluated with its own
-# BLAS calls, and pattern occurrences are found by a scan of the position
+# --- per-sample references -------------------------------------------------
+# The sampled check one sample at a time: ``_drawn`` draws the check's blocks
+# and hands the samples out in draw order; each is then evaluated with its
+# own BLAS calls.  Pattern occurrences are found by a scan of the position
 # tuples.
 
-_BLOCK = 1 << 10  # the checks' block, ``verify._SAMPLE_BLOCK``
+_BLOCK = 1 << 10  # the check's block, ``verify._SAMPLE_BLOCK``
 
 
-# (n, perm) of the first five of 50 samples at seed 0, per draw kind
-_PINNED_STREAMS = {
-    "perturbation": [
-        (9, [8, 9, 3, 2, 7, 1, 6, 4, 5]), (7, [3, 1, 6, 2, 4, 5, 7]), (6, [1, 5, 6, 3, 2, 4]),
-        (4, [2, 1, 4, 3]), (4, [1, 2, 4, 3]),
-    ],
-    "weighted": [
-        (9, [2, 6, 9, 4, 1, 5, 8, 3, 7]), (8, [6, 8, 3, 7, 1, 4, 2, 5]), (7, [1, 7, 6, 2, 3, 5, 4]),
-        (5, [2, 1, 3, 5, 4]), (5, [4, 1, 5, 3, 2]),
-    ],
-}
+# (n, perm) of the first five of 50 samples at seed 0
+_PINNED_STREAM = [
+    (9, [8, 9, 3, 2, 7, 1, 6, 4, 5]), (7, [3, 1, 6, 2, 4, 5, 7]), (6, [1, 5, 6, 3, 2, 4]),
+    (4, [2, 1, 4, 3]), (4, [1, 2, 4, 3]),
+]
 
 
-def _drawn(samples, seed, n_min, fields, block=_BLOCK):
-    """A sampled check's samples at ``seed`` in draw order, each (n, u,
-    *fields): per block, every n in [n_min, 10] in one draw, then per n in
+def _drawn(samples, seed, fields, block=_BLOCK):
+    """The perturbation check's samples at ``seed`` in draw order, each (n,
+    u, *fields): per block, every n in [2, 10] in one draw, then per n in
     ascending order the weights, each row normalized alone, and
     ``fields(rng, count, n)``."""
     rng = _rng(seed)
     for start in range(0, samples, block):
-        sizes = rng.integers(n_min, 11, size=min(block, samples - start)).tolist()
+        sizes = rng.integers(2, 11, size=min(block, samples - start)).tolist()
         rows = {}
-        for n in range(n_min, 11):
+        for n in range(2, 11):
             if sizes.count(n):
                 e = rng.standard_exponential((sizes.count(n), n))
                 rows[n] = zip([row / row.sum() for row in e], *fields(rng, sizes.count(n), n))
@@ -926,11 +936,6 @@ def _permuted(rng, count, n):
 def _perturbation_fields(rng, count, n):
     """A permutation, a direction and a random t per sample."""
     return _permuted(rng, count, n), rng.standard_normal((count, n)), rng.uniform(-1.0, 1.0, count)
-
-
-def _permutation_fields(rng, count, n):
-    """The delta check's samples: a permutation each."""
-    return (_permuted(rng, count, n),)
 
 
 def _find_pattern_loop(perm, pattern):
@@ -955,7 +960,7 @@ def _ab_loop(perm, rows):
 def _perturbation_loop(samples, seed, block=_BLOCK):
     worst = math.inf
     worst_info: dict = {}
-    for n, u, images, d, t in _drawn(samples, seed, 2, _perturbation_fields, block):
+    for n, u, images, d, t in _drawn(samples, seed, _perturbation_fields, block):
         perm = Permutation(tuple(images.tolist()))
         d -= d.mean()
         scale = float(np.max(np.abs(d)))
@@ -992,66 +997,8 @@ def _perturbation_loop(samples, seed, block=_BLOCK):
     )
 
 
-def _delta_loop(samples, seed, block=_BLOCK):
-    worst = math.inf
-    worst_info: dict = {}
-    tested = skipped = used_i = used_ii = 0
-    for n, u, images in _drawn(samples, seed, 3, _permutation_fields, block):
-        perm = Permutation(tuple(images.tolist()))
-        pair_mat, triple_ten = tensors_loop(*concordance._incidence(perm.images), n)
-        a_vec = pair_mat @ u
-        d = np.zeros(n)
-        hit = _find_pattern_loop(perm, (1, 2, 3))
-        if hit is not None:
-            p, q, r = hit
-            d[p - 1] = a_vec[q - 1] - a_vec[r - 1]
-            d[q - 1] = a_vec[r - 1] - a_vec[p - 1]
-            d[r - 1] = a_vec[p - 1] - a_vec[q - 1]
-            used_i += 1
-        else:
-            hit = _find_pattern_loop(perm, (3, 4, 1, 2))
-            if hit is None:
-                skipped += 1
-                continue
-            p, q, r, s = hit
-            d[p - 1] = a_vec[r - 1] - a_vec[s - 1]
-            d[q - 1] = -d[p - 1]
-            d[r - 1] = a_vec[q - 1] - a_vec[p - 1]
-            d[s - 1] = -d[r - 1]
-            used_ii += 1
-        if np.max(np.abs(d)) <= 1e-14:
-            d[:] = 0.0
-            d[p - 1], d[q - 1] = 1.0, -1.0
-        d /= np.max(np.abs(d))
-        coeffs = coeffs_one(pair_mat, triple_ten, u, d)
-        deviation = max(abs(coeffs["alpha1"]), abs(coeffs["alpha2"]), abs(coeffs["beta3"]), coeffs["beta2"])
-        tested += 1
-        if -deviation < worst:
-            worst = -deviation
-            worst_info = {
-                "n": n,
-                "perm": list(perm.images),
-                "u": [float(v) for v in u],
-                "delta": [float(v) for v in d],
-                "pattern_positions": list(hit),
-                "coeffs": [coeffs[f] for f in ("alpha1", "alpha2", "beta2", "beta3")],
-            }
-    if tested == 0:
-        worst = 0.0
-        worst_info = {"note": "every sampled permutation avoided both patterns"}
-    return VerificationReport(
-        check_name="delta_construction",
-        instances_tested=tested,
-        worst_margin=worst,
-        worst_witness=json.dumps(worst_info, sort_keys=True),
-        passed=worst >= -1e-12,
-        notes=f"pattern (i) used {used_i} times, pattern (ii) {used_ii}, skipped {skipped}",
-    )
-
-
 _SAMPLED = {
     check_perturbation_identities: _perturbation_loop,
-    check_delta_construction: _delta_loop,
 }
 
 
@@ -1074,7 +1021,6 @@ class TestBatchedSamples:
         "check, samples",
         [
             (check_perturbation_identities, 1000),
-            (check_delta_construction, 500),
         ],
         ids=lambda v: getattr(v, "__name__", str(v)),
     )
@@ -1113,24 +1059,17 @@ class TestBatchedSamples:
         counts = collections.Counter(map(tuple, verify._permutations(_rng(0), 6000, 3).tolist()))
         assert len(counts) == 6 and all(800 <= c <= 1200 for c in counts.values()), counts
         seen = []
-        for index, n, u in verify._samples(6000, _rng(1), 2, lambda rng, count, n: ()):
+        for index, n, u in verify._samples(6000, _rng(1), lambda rng, count, n: ()):
             assert u.shape == (len(index), n) and np.all(u > 0.0)
             assert np.abs(u.sum(axis=1) - 1.0).max() <= 1e-12
             seen += index.tolist()
         assert sorted(seen) == list(range(6000))
 
     def test_streams_are_pinned(self):
-        """(n, perm) of the first five of 50 samples at seed 0, per draw kind;
-        the checks draw as ``_drawn`` does, so a change of their stream
-        shows here."""
-        def first(n_min, fields):
-            return list(itertools.islice(_drawn(50, 0, n_min, fields), 5))
-
-        got = {
-            "perturbation": [(n, images.tolist()) for n, _, images, *_ in first(2, _perturbation_fields)],
-            "weighted": [(n, images.tolist()) for n, _, images in first(3, _permutation_fields)],
-        }
-        assert got == _PINNED_STREAMS
+        """(n, perm) of the first five of 50 samples at seed 0; the check
+        draws as ``_drawn`` does, so a change of its stream shows here."""
+        first = itertools.islice(_drawn(50, 0, _perturbation_fields), 5)
+        assert [(n, images.tolist()) for n, _, images, *_ in first] == _PINNED_STREAM
 
 
 class TestRegistry:
@@ -1167,6 +1106,13 @@ class TestRegistry:
             "swap_descent",
         ]
 
+    def test_exact_checks_ignore_the_seed(self):
+        """Only the perturbation check draws; a draw slipping back into an
+        exact check would show here."""
+        for name, run in verify.CHECKS.items():
+            if name != "perturbation_identities":
+                assert run(0) == run(12345), name
+
 
 def test_swap_descent_three_piece_example():
     """Smallest case by hand: moving the piece holding value 1 past the
@@ -1179,19 +1125,23 @@ def test_swap_descent_three_piece_example():
     assert b1 - b0 == pytest.approx(-u[1] * u[2] * u[0], abs=1e-15)
 
 
-def _incidence_with(rule):
+def _incidence_with(rule, pair=np.greater):
     """``concordance._incidence`` with its cyclic rule replaced by
-    ``rule(x, y, z)`` on the images of each lex-ordered triple."""
+    ``rule(x, y, z)`` on the images of each lex-ordered triple, and its
+    inversion rule by ``pair(x, y)`` on those of each lex-ordered pair."""
     def incidence(images):
         img = np.asarray(images).T
         pairs, triples = concordance._positions(len(img))
-        p, q = img[pairs]
-        return np.ascontiguousarray((p > q).T), np.ascontiguousarray(rule(*img[triples]).T)
+        return np.ascontiguousarray(pair(*img[pairs]).T), np.ascontiguousarray(rule(*img[triples]).T)
     return incidence
 
 
 def _cyclic(x, y, z):
     return ((x > y) ^ (y > z)) == (z > x)
+
+
+def _without_132(x, y, z):
+    return _cyclic(x, y, z) & ~((x < z) & (z < y))
 
 
 class TestExactLemmas:
@@ -1249,8 +1199,7 @@ class TestExactLemmas:
             assert np.array_equal(got, want)
 
     def test_a_rule_without_132_fails_both(self, monkeypatch):
-        without_132 = lambda x, y, z: _cyclic(x, y, z) & ~((x < z) & (z < y))
-        monkeypatch.setattr(concordance, "_incidence", _incidence_with(without_132))
+        monkeypatch.setattr(concordance, "_incidence", _incidence_with(_without_132))
         tri, swap = check_triangle_inequality(1, 0), check_swap_descent(1, 0)
         assert not tri.passed and tri.worst_margin == -1.0
         assert not swap.passed and swap.worst_margin < 0.0
@@ -1262,6 +1211,101 @@ class TestExactLemmas:
         assert check_triangle_inequality(1, 0).passed
         swap = check_swap_descent(1, 0)
         assert not swap.passed and swap.worst_margin < 0.0
+
+
+# A basis of each pattern's plane of directions, other than the check's for
+# 1-2-3: every zero-sum delta on 1-2-3, (x, -x, y, -y) on 3-4-1-2.
+_PLANES = (((1, 2, 3), [[1, 1], [-1, 0], [0, -1]]), ((3, 4, 1, 2), [[1, 0], [-1, 0], [0, 1], [0, -1]]))
+
+
+class TestDeltaConstruction:
+    """The delta check decides its lemma on the two patterns with one more
+    piece; these tests check the reduction on every occurrence in every
+    permutation of 5 and 6, keep the proof's explicit direction as sampled
+    evidence, and check that defects in the incidence fail the check."""
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_every_occurrence_meets_the_conditions(self, n):
+        """The pair form vanishes on the plane, the pattern holds no cyclic
+        triple, and T[., ., k] on the plane is negative semidefinite for
+        every piece k outside the occurrence."""
+        perms = np.array(list(itertools.permutations(range(1, n + 1))))
+        pair, triple = concordance._tensors(*concordance._incidence(perms), n)
+        count = 0
+        for pattern, basis in _PLANES:
+            for at in map(list, itertools.combinations(range(n), len(pattern))):
+                ranks = np.argsort(np.argsort(perms[:, at], axis=1), axis=1)
+                hit = np.all(ranks == np.subtract(pattern, 1), axis=1)
+                plane = np.zeros((n, 2))
+                plane[at] = basis
+                assert not (plane.T @ pair[hit] @ plane).any()
+                assert not triple[hit][:, at][:, :, at][:, :, :, at].any()
+                q = np.einsum("ia,pijk,jb->pkab", plane, triple[hit], plane)
+                q = np.delete(q, at, axis=1)
+                assert np.all(q[..., 0, 0] + q[..., 1, 1] <= 0)
+                assert np.all(q[..., 0, 0] * q[..., 1, 1] - q[..., 0, 1] * q[..., 1, 0] >= 0)
+                count += int(hit.sum())
+        assert count == sum(math.comb(n, m) ** 2 * math.factorial(n - m) for m in (3, 4))
+
+    def test_the_papers_direction(self):
+        """The proof's delta, built from the gradient of a at u: on the first
+        1-2-3 occurrence p < q < r, (a_q - a_r, a_r - a_p, a_p - a_q); on a
+        permutation without one, on the first 3-4-1-2 occurrence p < q < r <
+        s, (a_r - a_s, a_s - a_r, a_q - a_p, a_p - a_q); e_p - e_q where a is
+        equal on the pattern.  alpha1, alpha2 and beta3 vanish and beta2 <= 0,
+        to 1e-12, on 300 seeded (permutation, u) pairs with n <= 10 (the
+        worst is 1.4e-16)."""
+        rng = _rng(29)
+        tested = collections.Counter()
+        for _ in range(300):
+            n = int(rng.integers(3, 11))
+            perm, u = Permutation(tuple((rng.permutation(n) + 1).tolist())), random_simplex(rng, n)
+            a = perturbation_coeffs(perm, u, np.zeros(n)).a_vec
+            d = np.zeros(n)
+            hit = find_pattern(perm, (1, 2, 3))
+            if hit is not None:
+                p, q, r = np.subtract(hit, 1)
+                d[[p, q, r]] = a[q] - a[r], a[r] - a[p], a[p] - a[q]
+            elif (hit := find_pattern(perm, (3, 4, 1, 2))) is not None:
+                p, q, r, s = np.subtract(hit, 1)
+                d[[p, q, r, s]] = a[r] - a[s], a[s] - a[r], a[q] - a[p], a[p] - a[q]
+            else:
+                continue
+            if np.abs(d).max() <= 1e-14:
+                d[:] = 0.0
+                d[p], d[q] = 1.0, -1.0
+            c = perturbation_coeffs(perm, u, d / np.abs(d).max())
+            assert max(abs(c.alpha1), abs(c.alpha2), abs(c.beta3), c.beta2) <= 1e-12, (perm, u)
+            tested[len(hit)] += 1
+        assert tested == {3: 232, 4: 17}  # by pattern length; 51 permutations avoid both
+
+    @pytest.mark.parametrize(
+        "rule, pair, margin, witness",
+        [
+            (_without_132, np.greater, -3, ([1, 2, 3], [1, 3, 2, 4], 2)),
+            (lambda x, y, z: ~_cyclic(x, y, z), np.greater, -41, ([1, 2, 3], [1, 2, 3, 4], 1)),
+            (_cyclic, np.less, -41, ([1, 2, 3], [1, 2, 3, 4], 1)),
+        ],
+        ids=["without-132", "cyclic-complement", "pair-complement"],
+    )
+    def test_a_defect_fails(self, monkeypatch, rule, pair, margin, witness):
+        monkeypatch.setattr(concordance, "_incidence", _incidence_with(rule, pair))
+        r = check_delta_construction(1, 0)
+        assert (r.passed, r.worst_margin) == (False, margin)
+        assert json.loads(r.worst_witness) == dict(zip(("pattern", "perm", "piece"), witness))
+
+    def test_a_negated_triple_tensor_fails(self, monkeypatch):
+        """Negating T turns each nonzero Q_k positive semidefinite with the
+        same determinant, so only the trace condition catches it."""
+        tensors = concordance._tensors
+
+        def negated(*args):
+            pair, triple = tensors(*args)
+            return pair, -triple
+
+        monkeypatch.setattr(concordance, "_tensors", negated)
+        r = check_delta_construction(1, 0)
+        assert (r.passed, r.worst_margin) == (False, -24.0)
 
 
 def test_almost_decreasing_exhaustive_small():
